@@ -37,6 +37,26 @@ def sym_sqrt_pair(M, rel_floor=1e-12):
     return S, Si
 
 
+def eigh_desc(M):
+    """Eigenpairs of a symmetric matrix in descending eigenvalue order.
+
+    Each eigenvector is signed so its largest-magnitude entry is
+    positive, which makes the decomposition deterministic.
+
+    Returns
+    -------
+    (d, U) : eigenvalues and eigenvectors in columns
+    """
+    vals, vecs = np.linalg.eigh(M)
+    d = vals[::-1].copy()
+    U = vecs[:, ::-1].copy()
+    for ell in range(U.shape[1]):
+        col = U[:, ell]
+        if col[np.argmax(np.abs(col))] < 0:
+            U[:, ell] = -col
+    return d, U
+
+
 def solve_penalized(A, rhs, penalty_is_zero=False, context=""):
     """Solve the symmetric normal system ``A x = rhs``.
 

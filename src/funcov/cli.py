@@ -30,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._linalg import eigh_desc
 from .config import RunConfig, merge_config
 from .dataset import CSV_HEADER, SparseFunctionalDataset
 from .errors import DataFormatError, DomainError, FuncovError
@@ -37,7 +38,13 @@ from .fpca import eval_covariance, eval_eigenfunction
 from .model_io import load_model, save_model
 from .pipeline import FitSettings, fit_covariance_model
 from .predict import predict_subject
-from .simulate import SimDesign, generate, replicate_metrics
+from .simulate import (
+    SimDesign,
+    coupling_matrix,
+    generate,
+    noise_variance,
+    replicate_metrics,
+)
 from . import __version__
 
 
@@ -293,9 +300,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.replicates)
-    from .simulate import coupling_matrix, _sorted_eigh_desc
-
-    d, _ = _sorted_eigh_desc(coupling_matrix(cfg.rho))
+    d, _ = eigh_desc(coupling_matrix(cfg.rho))
     for r in range(cfg.replicates):
         design = SimDesign(
             n=cfg.n,
@@ -326,7 +331,7 @@ def cmd_simulate(args) -> int:
                     "n_test": cfg.n_test,
                 },
                 "eigenvalues": [float(v) for v in d],
-                "sigma_eps2": float(np.clip(d, 0, None).sum() / (3 * cfg.snr)),
+                "sigma_eps2": noise_variance(d, cfg.snr),
             },
             fh,
             sort_keys=True,

@@ -84,34 +84,30 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
     subject every (j1, j2) observation pair contributes the product
     ``r_ij1^{(k)} r_ij2^{(kp)}`` and a design row evaluating the spline
     surface at ``(t_ij1^{(k)}, t_ij2^{(kp)})``. Subjects missing either
-    response contribute no rows.
+    response contribute no rows. The basis and the mean are evaluated
+    once per response over its pooled times; every pair row indexes them.
     """
     if not 0 <= k <= kp < data.n_responses:
         raise FuncovError(f"bad response pair ({k}, {kp})")
     auto = k == kp
-    C_parts, B_parts, Z_parts, slices = [], [], [], []
-    pos = 0
-    for i in range(data.n_subjects):
-        tk, yk = data.obs(i, k)
-        if auto:
-            tkp, ykp = tk, yk
-        else:
-            tkp, ykp = data.obs(i, kp)
-        if tk.size == 0 or tkp.size == 0:
-            continue
-        rk = yk - means[k](tk)
-        rkp = ykp - means[kp](tkp)
-        Pk = eval_basis_matrix(ws, tk)
-        Pkp = Pk if auto else eval_basis_matrix(ws, tkp)
-        C_parts.append(np.kron(rkp, rk))
-        B_parts.append(np.kron(Pkp, Pk))
-        if auto:
-            Z_parts.append(np.eye(tk.size).ravel())
-        n_rows = tk.size * tkp.size
-        slices.append((pos, pos + n_rows))
-        pos += n_rows
-    if pos == 0:
+    P, r, m, first = _pooled_residuals(data, means, ws, k)
+    if auto:
+        Pp, rp, mp, first_p = P, r, m, first
+    else:
+        Pp, rp, mp, first_p = _pooled_residuals(data, means, ws, kp)
+    keep = (m > 0) & (mp > 0)
+    m, mp, first, first_p = m[keep], mp[keep], first[keep], first_p[keep]
+    n_rows = m * mp
+    if n_rows.sum() == 0:
         raise FuncovError(f"no subject observes both responses {k} and {kp}")
+    ends = np.cumsum(n_rows)
+    # row l of subject i pairs observation j1 = l % m_i of response k with
+    # j2 = l // m_i of response kp (the second index moves slowest)
+    subj = np.repeat(np.arange(n_rows.size), n_rows)
+    local = np.arange(ends[-1]) - (ends - n_rows)[subj]
+    j1, j2 = local % m[subj], local // m[subj]
+    i1, i2 = first[subj] + j1, first_p[subj] + j2
+    B = (Pp[i2][:, :, None] * P[i1][:, None, :]).reshape(i1.size, ws.c * ws.c)
     y_var = 0.0
     if auto:
         vals = data.response_values(k)
@@ -120,11 +116,22 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
     return AuxBlock(
         k=k,
         kp=kp,
-        C=np.concatenate(C_parts),
-        B=np.vstack(B_parts),
-        Z=np.concatenate(Z_parts) if auto else None,
-        slices=slices,
+        C=rp[i2] * r[i1],
+        B=B,
+        Z=(j1 == j2).astype(float) if auto else None,
+        slices=[(int(e - n), int(e)) for e, n in zip(ends, n_rows)],
         y_var=y_var,
+    )
+
+
+def _pooled_residuals(data, means, ws: SplineWorkspace, k: int):
+    """Basis rows, residuals, per-subject counts and first pooled index of response k."""
+    t, v, counts = data.pooled(k)
+    return (
+        eval_basis_matrix(ws, t),
+        v - means[k](t),
+        counts,
+        np.cumsum(counts) - counts,
     )
 
 
@@ -135,6 +142,18 @@ def _auto_design(block: AuxBlock, ws: SplineWorkspace):
     Q = np.zeros((q, q))
     Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
     return X, Q
+
+
+def _checked_rho_grid(rho_grid) -> np.ndarray:
+    rho_grid = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, float)
+    if rho_grid.size == 0 or np.any(rho_grid < 0):
+        raise FuncovError("rho grid must be nonempty and nonnegative")
+    return rho_grid
+
+
+def _select_auto(block: AuxBlock, X, Q, rho_grid) -> SelectionResult:
+    res = select_grid(X, block.C, block.slices, [Q], rho_grid, [(1.0,)])
+    return SelectionResult(res.rho, 0.5, res.score, res.surface)
 
 
 def select_smoothing(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None):
@@ -149,13 +168,9 @@ def select_smoothing(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid
     -------
     SelectionResult
     """
-    rho_grid = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, float)
-    if rho_grid.size == 0 or np.any(rho_grid < 0):
-        raise FuncovError("rho grid must be nonempty and nonnegative")
+    rho_grid = _checked_rho_grid(rho_grid)
     if block.k == block.kp:
-        X, Q = _auto_design(block, ws)
-        res = select_grid(X, block.C, block.slices, [Q], rho_grid, [(1.0,)])
-        return SelectionResult(res.rho, 0.5, res.score, res.surface)
+        return _select_auto(block, *_auto_design(block, ws), rho_grid)
     w_grid = W_GRID if w_grid is None else tuple(w_grid)
     if len(w_grid) == 0 or any(not 0 <= w <= 1 for w in w_grid):
         raise FuncovError("weight grid must be nonempty with weights in [0, 1]")
@@ -202,8 +217,8 @@ def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
     """
     if block.k != block.kp:
         raise FuncovError("fit_auto expects a diagonal block")
-    sel = select_smoothing(block, ws, rho_grid)
     X, Q = _auto_design(block, ws)
+    sel = _select_auto(block, X, Q, _checked_rho_grid(rho_grid))
     A = X.T @ X + sel.rho * Q
     beta = solve_penalized(
         A,

@@ -96,11 +96,19 @@ class SparseFunctionalDataset:
 
     def response_values(self, k: int) -> np.ndarray:
         """All observed values of response k pooled across subjects."""
-        parts = [self._values[i][k] for i in range(self.n_subjects)]
-        parts = [p for p in parts if p.size]
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        return self.pooled(k)[1]
+
+    def pooled(self, k: int):
+        """Response k pooled across subjects in subject order.
+
+        Returns (times, values, counts): the concatenated observation
+        arrays and each subject's observation count (zero when the
+        subject does not observe response k).
+        """
+        times = [self._times[i][k] for i in range(self.n_subjects)]
+        values = [self._values[i][k] for i in range(self.n_subjects)]
+        counts = np.array([t.size for t in times], dtype=np.intp)
+        return np.concatenate(times), np.concatenate(values), counts
 
     def iter_rows(self):
         """Yield (subject, response, time, value) in storage order."""

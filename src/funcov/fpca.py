@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._linalg import eigh_desc
 from .errors import FuncovError
 from .splines import SplineWorkspace, eval_basis_matrix
 
@@ -140,25 +141,26 @@ def eigendecompose(model: CovarianceModel, pve: float = 0.99) -> EigenSystem:
     M = whitened_stack(model)
     if not np.all(np.isfinite(M)):
         raise FuncovError("covariance coefficients contain non-finite entries")
-    vals, vecs = np.linalg.eigh(M)
-    d = vals[::-1].copy()
-    U = vecs[:, ::-1].copy()
-    for ell in range(U.shape[1]):
-        col = U[:, ell]
-        if col[np.argmax(np.abs(col))] < 0:
-            U[:, ell] = -col
-    d1 = d[0]
-    if d1 > 0:
-        pos = np.where(d > PVE_ZERO_TOL * d1, d, 0.0)
-        pos = np.maximum(pos, 0.0)
-        total = pos.sum()
-        curve = np.cumsum(pos) / total if total > 0 else np.zeros_like(d)
-    else:
-        curve = np.zeros_like(d)
+    d, U = eigh_desc(M)
+    curve = pve_curve(d)
     npc = _npc_from_curve(curve, pve)
     return EigenSystem(
         d=d, U=U, npc=npc, pve=pve, pve_curve=curve, ws=model.ws, p=model.p
     )
+
+
+def pve_curve(d: np.ndarray) -> np.ndarray:
+    """Cumulative explained-variance fractions of descending eigenvalues.
+
+    Eigenvalues at or below ``PVE_ZERO_TOL`` times the leading one, and
+    negative ones, count as zero; the curve is all zeros when no
+    eigenvalue is positive.
+    """
+    if not (d.size and d[0] > 0):
+        return np.zeros_like(d)
+    pos = np.where(d > PVE_ZERO_TOL * d[0], d, 0.0)
+    total = pos.sum()
+    return np.cumsum(pos) / total if total > 0 else np.zeros_like(d)
 
 
 def _npc_from_curve(curve: np.ndarray, pve: float) -> int:

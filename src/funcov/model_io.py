@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import DataFormatError
-from .fpca import CovarianceModel, EigenSystem, PVE_ZERO_TOL, _npc_from_curve
+from .fpca import CovarianceModel, EigenSystem, pve_curve
 from .mean import MeanFit
 from .splines import build_workspace
 
@@ -115,18 +115,12 @@ def load_model(path):
     d = _decode_array(doc["eigen"]["d"])
     U = _decode_array(doc["eigen"]["U"])
     pve = float(doc["eigen"]["pve"])
-    if d.size and d[0] > 0:
-        pos = np.where(d > PVE_ZERO_TOL * d[0], np.maximum(d, 0.0), 0.0)
-        total = pos.sum()
-        curve = np.cumsum(pos) / total if total > 0 else np.zeros_like(d)
-    else:
-        curve = np.zeros_like(d)
     eig = EigenSystem(
         d=d,
         U=U,
         npc=int(doc["eigen"]["npc"]),
         pve=pve,
-        pve_curve=curve,
+        pve_curve=pve_curve(d),
         ws=ws_cov,
         p=p,
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._linalg import eigh_desc
 from .dataset import SparseFunctionalDataset
 from .errors import FuncovError
 from .fpca import eval_covariance, eval_eigenfunction
@@ -145,15 +146,13 @@ class GroundTruth:
         return mean_function(k, t) + contrib.sum(axis=1)
 
 
-def _sorted_eigh_desc(A: np.ndarray):
-    vals, vecs = np.linalg.eigh(A)
-    d = vals[::-1].copy()
-    V = vecs[:, ::-1].copy()
-    for ell in range(V.shape[1]):
-        col = V[:, ell]
-        if col[np.argmax(np.abs(col))] < 0:
-            V[:, ell] = -col
-    return d, V
+def noise_variance(d: np.ndarray, snr: float) -> float:
+    """Noise variance that sets the signal-to-noise ratio to ``snr``.
+
+    The signal variance is the total positive score variance ``d``,
+    averaged over the P responses.
+    """
+    return float(np.clip(d, 0.0, None).sum() / (P * snr))
 
 
 def generate(design: SimDesign):
@@ -171,11 +170,9 @@ def generate(design: SimDesign):
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    A = coupling_matrix(design.rho)
-    d, V = _sorted_eigh_desc(A)
-    d_pos = np.clip(d, 0.0, None)
-    sigma_eps2 = float(d_pos.sum() / (P * design.snr))
-    sd = np.sqrt(d_pos)
+    d, V = eigh_desc(coupling_matrix(design.rho))
+    sigma_eps2 = noise_variance(d, design.snr)
+    sd = np.sqrt(np.clip(d, 0.0, None))
     noise_sd = np.sqrt(sigma_eps2)
 
     def draw_subjects(count):

@@ -8,6 +8,7 @@ import pytest
 
 import funcov
 from funcov import FuncovError, SingularSystemError, build_workspace
+from funcov import covsmooth
 from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross, select_smoothing
 from funcov.crossval import GridSelector
 from funcov.splines import eval_basis, eval_basis_matrix
@@ -65,6 +66,23 @@ def test_products_match_double_loop_oracle():
     np.testing.assert_allclose(auto.B, B_a, rtol=0, atol=1e-15)
     np.testing.assert_array_equal(auto.Z, Z_a)
     assert auto.slices == slices_a
+
+
+def test_build_aux_evaluates_basis_once_per_response(monkeypatch):
+    ws = build_workspace((0.0, 1.0), 3, 4)
+    data = residual_dataset(1, n=30, p=2, m_range=(0, 4))
+    calls = []
+
+    def counted(ws_, times):
+        calls.append(len(times))
+        return eval_basis_matrix(ws_, times)
+
+    monkeypatch.setattr(covsmooth, "eval_basis_matrix", counted)
+    build_aux(data, zero_means(ws, 2), ws, 0, 1)
+    assert len(calls) <= 2
+    calls.clear()
+    build_aux(data, zero_means(ws, 2), ws, 1, 1)
+    assert len(calls) <= 1
 
 
 def test_hand_enumerated_ordering():

@@ -165,3 +165,37 @@ def test_empty_slices_are_ignored():
     r1 = select_grid(X, y, padded, [np.eye(6)], [1.0], [(1.0,)])
     r2 = select_grid(X, y, slices, [np.eye(6)], [1.0], [(1.0,)])
     assert r1.score == r2.score
+
+
+def test_score_all_matches_direct_formula_and_single_points():
+    # unequal subject sizes (1, 4 and 9 rows) with empty slices between them
+    X, y, slices = random_instance(21, n=14, m_max=3, q=9)
+    padded = []
+    for s, e in slices:
+        padded += [(s, s), (s, e)]
+    rng = np.random.default_rng(21)
+    A0 = rng.standard_normal((9, 9))
+    P = 1e12 * (A0 @ A0.T + np.eye(9))
+    # the last rho overflows rho * s, so d = 0 and the criterion is ||y||^2
+    rho_grid = np.array([0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e300])
+    stage = GridSelector(X, y, padded, [P]).for_weights((1.0,))
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            rho_grid[-1] * stage.s
+    vals = stage.score_all(rho_grid)
+    for rho, val in zip(rho_grid[:-1], vals):
+        direct = oracles.direct_criterion(X, y, slices, rho * P)
+        assert val == pytest.approx(direct, rel=1e-8)
+    assert vals[-1] == float(y @ y)
+    # a grid point scores the same, bit for bit, alone or with the grid
+    for rho, val in zip(rho_grid, vals):
+        assert stage.score(rho) == val
+    np.testing.assert_array_equal(stage.score_all(rho_grid[::-1]), vals[::-1])
+
+    perm = rng.permutation(len(slices))
+    Xp = np.vstack([X[slices[j][0] : slices[j][1]] for j in perm])
+    yp = np.concatenate([y[slices[j][0] : slices[j][1]] for j in perm])
+    ends = np.cumsum([slices[j][1] - slices[j][0] for j in perm])
+    slices_p = [(int(e - (slices[j][1] - slices[j][0])), int(e)) for e, j in zip(ends, perm)]
+    vals_p = GridSelector(Xp, yp, slices_p, [P]).for_weights((1.0,)).score_all(rho_grid)
+    np.testing.assert_allclose(vals_p, vals, rtol=1e-12, atol=0)

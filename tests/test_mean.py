@@ -5,7 +5,9 @@ import pytest
 
 import funcov
 from funcov import FuncovError, SingularSystemError, build_workspace
-from funcov.mean import fit_mean
+from funcov import mean
+from funcov.crossval import loso_shortcut_error
+from funcov.mean import default_tau_grid, fit_mean, loso_curve
 from funcov.simulate import mean_function
 from funcov.splines import eval_basis_matrix
 
@@ -174,3 +176,147 @@ def test_cv_curve_records_grid_and_selection():
     # selected tau is the largest among the score minimizers
     winners = taus[scores == best]
     assert fit.tau == winners.max()
+
+
+def pooled_design(data, ws):
+    t_all, y, counts = data.pooled(0)
+    ends = np.cumsum(counts)
+    slices = [(int(e - m), int(e)) for e, m in zip(ends, counts) if m]
+    B = eval_basis_matrix(ws, t_all)
+    return B, y, slices, B.T @ B, ws.D.T @ ws.D
+
+
+def count_exact_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return loso_shortcut_error(*args)
+
+    monkeypatch.setattr(mean, "loso_shortcut_error", counted)
+    return calls
+
+
+def test_joint_loso_curve_matches_exact_and_literal_paths(monkeypatch):
+    # every tau of the default grid plus tau = 0, subjects of 1 to 6 points
+    calls = count_exact_calls(monkeypatch)
+    for seed in range(3):
+        rng = np.random.default_rng(60 + seed)
+        ws = build_workspace((0.0, 1.0), 5, 4)
+        data = make_dataset(rng, n=14, p=1, m_range=(1, 6))
+        B, y, slices, G0, DtD = pooled_design(data, ws)
+        taus = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
+        curve = loso_curve(B, y, slices, G0, DtD, taus)
+        assert calls == []  # the batched path scored the whole grid
+        for tau, val in zip(taus, curve):
+            exact = loso_shortcut_error(B, y, slices, G0 + tau * DtD)
+            literal = oracles.literal_loso(B, y, slices, tau * DtD)
+            assert val == pytest.approx(exact, rel=1e-8)
+            assert val == pytest.approx(literal, rel=1e-8)
+        fit = fit_mean(data, 0, ws)
+        expected = loso_curve(B, y, slices, G0, DtD, fit.cv_curve[:, 0])
+        np.testing.assert_array_equal(fit.cv_curve[:, 1], expected)
+
+
+def boundary_sparse_dataset(edge, inner, seed=0):
+    # Most subjects sit in [0.3, 0.7]; one subject on each side reaches
+    # toward the ends at `edge` and `inner`, so the end basis functions are
+    # barely observed and B'B is ill-conditioned but nonsingular.
+    rng = np.random.default_rng(seed)
+    subjects, times = [], []
+    for i in range(14):
+        m = int(rng.integers(1, 7))
+        subjects += [f"s{i:02d}"] * m
+        times += list(0.3 + 0.4 * rng.random(m))
+    for j, t in enumerate([[edge, inner, 0.5], [1 - edge, 1 - inner, 0.5]]):
+        subjects += [f"z{j}"] * 3
+        times += t
+    times = np.array(times)
+    values = np.sin(6 * times) + 0.1 * rng.standard_normal(times.size)
+    return funcov.SparseFunctionalDataset.from_long(subjects, ["y1"] * times.size, times, values)
+
+
+@pytest.mark.parametrize(
+    "edge, inner, cond_range, batched",
+    [
+        (0.01, 0.25, (1e4, 1e5), True),
+        (0.02, 0.3, (1e7, 1e8), False),
+        (0.1, 0.3, (1e8, 1e9), False),
+    ],
+)
+def test_ill_conditioned_gram_matches_exact_and_literal_paths(
+    monkeypatch, edge, inner, cond_range, batched
+):
+    # The joint basis loses about cond(B'B) * 1e-15 relative accuracy; past
+    # the cutoff the exact path must score the grid, so the curve stays
+    # within 1e-8 of the exact shortcut and of literal refits either way.
+    ws = build_workspace((0.0, 1.0), 5, 4)
+    B, y, slices, G0, DtD = pooled_design(boundary_sparse_dataset(edge, inner), ws)
+    w = np.linalg.eigvalsh(G0)
+    assert cond_range[0] < w[-1] / w[0] < cond_range[1]
+    taus = default_tau_grid(np.trace(G0) / ws.c)
+    calls = count_exact_calls(monkeypatch)
+    curve = loso_curve(B, y, slices, G0, DtD, taus)
+    assert len(calls) == (0 if batched else taus.size)
+    for tau, val in zip(taus, curve):
+        exact = loso_shortcut_error(B, y, slices, G0 + tau * DtD)
+        literal = oracles.literal_loso(B, y, slices, tau * DtD)
+        assert val == pytest.approx(exact, rel=1e-8)
+        assert val == pytest.approx(literal, rel=1e-8)
+
+
+def test_singular_gram_takes_the_exact_path(monkeypatch):
+    # four distinct times against c = 10 basis functions: B'B is singular
+    rng = np.random.default_rng(70)
+    ws = build_workspace((0.0, 1.0), 6, 4)
+    subjects, times, values = [], [], []
+    for i in range(12):
+        m = int(rng.integers(1, 5))
+        subjects += [f"s{i:02d}"] * m
+        times += list(rng.choice([0.1, 0.35, 0.6, 0.9], size=m))
+        values += list(rng.standard_normal(m))
+    data = funcov.SparseFunctionalDataset.from_long(subjects, ["y1"] * len(times), times, values)
+    B, y, slices, G0, DtD = pooled_design(data, ws)
+    assert np.linalg.matrix_rank(G0) == 4
+    grid = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
+
+    calls = count_exact_calls(monkeypatch)
+    fit = fit_mean(data, 0, ws, tau_grid=grid)
+    assert len(calls) == grid.size
+    expected = []
+    for tau in grid:
+        try:
+            expected.append(loso_shortcut_error(B, y, slices, G0 + tau * DtD))
+        except np.linalg.LinAlgError:
+            expected.append(np.inf)
+    np.testing.assert_array_equal(fit.cv_curve[:, 1], expected)
+
+
+def test_failed_batched_solve_falls_back_for_that_tau_only(monkeypatch):
+    rng = np.random.default_rng(71)
+    ws = build_workspace((0.0, 1.0), 4, 4)
+    data = make_dataset(rng, n=12, p=1, m_range=(1, 5))
+    B, y, slices, G0, DtD = pooled_design(data, ws)
+    taus = np.array([0.01, 0.5, 20.0])
+    batched = loso_curve(B, y, slices, G0, DtD, taus)
+    real = mean._joint_errors
+
+    def singular_at_half(Q, lam, y, groups, grid):
+        if np.any(grid == 0.5):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(Q, lam, y, groups, grid)
+
+    monkeypatch.setattr(mean, "_joint_errors", singular_at_half)
+    calls = count_exact_calls(monkeypatch)
+    curve = loso_curve(B, y, slices, G0, DtD, taus)
+    assert len(calls) == 1
+    assert curve[1] == loso_shortcut_error(B, y, slices, G0 + 0.5 * DtD)
+    np.testing.assert_allclose(curve, batched, rtol=1e-12, atol=0)
+
+
+def test_non_finite_tau_is_rejected():
+    ws = build_workspace((0.0, 1.0), 5, 4)
+    data = constant_dataset()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FuncovError, match="finite"):
+            fit_mean(data, 0, ws, tau_grid=[1.0, bad])
