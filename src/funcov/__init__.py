@@ -28,7 +28,7 @@ from .fpca import (
 from .mean import MeanFit, fit_mean
 from .model_io import load_model, save_model
 from .pipeline import FitResult, FitSettings, fit_covariance_model
-from .predict import PredictionResult, predict_subject
+from .predict import BatchPrediction, PredictionResult, predict_batch, predict_subject
 from .simulate import (
     GroundTruth,
     SimDesign,
@@ -50,6 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxBlock",
+    "BatchPrediction",
     "BlockFit",
     "CSV_HEADER",
     "CovarianceModel",
@@ -91,6 +92,7 @@ __all__ = [
     "loso_shortcut_error",
     "merge_config",
     "mise",
+    "predict_batch",
     "predict_subject",
     "refine",
     "replicate_metrics",

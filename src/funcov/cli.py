@@ -37,7 +37,7 @@ from .errors import DataFormatError, DomainError, FuncovError
 from .fpca import eval_covariance, eval_eigenfunction
 from .model_io import load_model, save_model
 from .pipeline import FitSettings, fit_covariance_model
-from .predict import predict_subject
+from .predict import _predict
 from .simulate import (
     SimDesign,
     coupling_matrix,
@@ -234,7 +234,6 @@ def cmd_predict(args) -> int:
     )
     pred_header = ["subject", "response", "time", "xhat", "variance", "lower95", "upper95", "error"]
     a, b = model.ws.domain
-    npc = cfg.npc
     with open(args.out, "w", newline="") as fh, open(scores_path, "w", newline="") as sh:
         writer = csv.writer(fh)
         writer.writerow(pred_header)
@@ -242,27 +241,34 @@ def cmd_predict(args) -> int:
         score_writer.writerow(["subject", "component", "score"])
         if data is None:
             return 0
-        p = model.p
+        p, n = model.p, data.n_subjects
+        # observations outside the fitted domain are dropped and reported
+        pooled, owners, dropped = [], [], [[] for _ in range(n)]
+        for k in range(p):
+            t, v, counts = data.pooled(k)
+            owner = np.repeat(np.arange(n), counts)
+            ok = (t >= a) & (t <= b)
+            for i, t_bad in zip(owner[~ok], t[~ok]):
+                dropped[i].append((k, float(t_bad)))
+            pooled.append((t[ok], v[ok], np.bincount(owner[ok], minlength=n)))
+            owners.append(owner[ok])
+        grid = np.linspace(a, b, cfg.grid_size) if mode == "grid" else None
+        pred = _predict(model, eig, pooled, grid, cfg.npc, cfg.level, full_cov=False)
+        # each subject's rows of the pooled observed-time output
+        owners = np.concatenate(owners)
+        ends = np.cumsum(np.bincount(owners, minlength=n))
+        subject_rows = np.split(np.argsort(owners, kind="stable"), ends[:-1])
         for i, subject in enumerate(data.subjects):
-            obs_t, obs_v, dropped = [], [], []
-            for k in range(p):
-                t, v = data.obs(i, k)
-                ok = (t >= a) & (t <= b)
-                if not ok.all():
-                    for t_bad, v_bad in zip(t[~ok], v[~ok]):
-                        dropped.append((k, float(t_bad)))
-                obs_t.append(t[ok])
-                obs_v.append(v[ok])
-            if mode == "grid":
-                new_times = np.linspace(a, b, cfg.grid_size)
+            if grid is not None:
+                new_times = grid
+                xhat, var, lower, upper = pred.xhat[i], pred.var[i], pred.lower[i], pred.upper[i]
             else:
-                pooled = [t for t in obs_t if t.size]
-                new_times = np.unique(np.concatenate(pooled)) if pooled else np.zeros(0)
+                rows = subject_rows[i]
+                new_times, first = np.unique(pred.times[rows], return_index=True)
+                cols = rows[first]
+                xhat, var = pred.xhat[:, cols], pred.var[:, cols]
+                lower, upper = pred.lower[:, cols], pred.upper[:, cols]
             if new_times.size:
-                pred = predict_subject(
-                    model, eig, obs_t, obs_v, new_times, npc=npc, level=cfg.level
-                )
-                var = np.clip(np.diag(pred.cov), 0.0, None).reshape(p, new_times.size)
                 for k, label in enumerate(model.response_labels):
                     for j, t in enumerate(new_times):
                         writer.writerow(
@@ -270,16 +276,16 @@ def cmd_predict(args) -> int:
                                 subject,
                                 label,
                                 _fmt(float(t)),
-                                _fmt(float(pred.xhat[k, j])),
+                                _fmt(float(xhat[k, j])),
                                 _fmt(float(var[k, j])),
-                                _fmt(float(pred.lower[k, j])),
-                                _fmt(float(pred.upper[k, j])),
+                                _fmt(float(lower[k, j])),
+                                _fmt(float(upper[k, j])),
                                 "",
                             ]
                         )
-                for ell, value in enumerate(pred.scores):
+                for ell, value in enumerate(pred.scores[i]):
                     score_writer.writerow([subject, ell + 1, _fmt(float(value))])
-            for k, t_bad in dropped:
+            for k, t_bad in dropped[i]:
                 writer.writerow(
                     [
                         subject,

@@ -29,6 +29,8 @@ RHO_GRID_SIZE = 20
 RHO_GRID_RANGE = (1e-4, 1e8)
 W_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 SIGMA2_CLIP_FACTOR = 1e-8
+# Rows per block when gathering the symmetric auto-block design.
+DESIGN_ROW_BLOCK = 256
 
 
 def default_rho_grid() -> np.ndarray:
@@ -136,8 +138,25 @@ def _pooled_residuals(data, means, ws: SplineWorkspace, k: int):
 
 
 def _auto_design(block: AuxBlock, ws: SplineWorkspace):
-    """Symmetry-constrained design [B Gc, Z] and its penalty."""
-    X = np.hstack([block.B @ ws.Gc, block.Z[:, None]])
+    """Symmetry-constrained design [B Gc, Z] and its penalty.
+
+    Column h of ``Gc`` picks one lower-triangle entry (i, j) of the
+    coefficient matrix and its mirror (j, i), so ``B Gc`` adds the two
+    matching columns of B; that gather-add replaces the dense product,
+    with the same result bit for bit.
+    """
+    c = ws.c
+    j, i = np.triu_indices(c)  # column-stacked lower triangle: i >= j
+    lower, upper = j * c + i, i * c + j
+    off = np.flatnonzero(lower != upper)
+    X = np.empty((block.B.shape[0], lower.size + 1))
+    # Gathering columns reads B with a stride of c^2; row blocks that stay
+    # in cache make it about twice as fast as the product (n = 1000).
+    for start in range(0, X.shape[0], DESIGN_ROW_BLOCK):
+        B, Xb = block.B[start : start + DESIGN_ROW_BLOCK], X[start : start + DESIGN_ROW_BLOCK]
+        Xb[:, :-1] = B[:, lower]
+        Xb[:, off] += B[:, upper[off]]
+    X[:, -1] = block.Z
     q = X.shape[1]
     Q = np.zeros((q, q))
     Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
@@ -153,7 +172,7 @@ def _checked_rho_grid(rho_grid) -> np.ndarray:
 
 def _select_auto(block: AuxBlock, X, Q, rho_grid) -> SelectionResult:
     res = select_grid(X, block.C, block.slices, [Q], rho_grid, [(1.0,)])
-    return SelectionResult(res.rho, 0.5, res.score, res.surface)
+    return SelectionResult(res.rho, 0.5, res.score, res.surface, res.gram)
 
 
 def select_smoothing(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None):
@@ -189,7 +208,7 @@ def fit_cross(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None) 
     sel = select_smoothing(block, ws, rho_grid, w_grid)
     lam1 = sel.rho * sel.weight
     lam2 = sel.rho * (1.0 - sel.weight)
-    A = block.B.T @ block.B + lam1 * ws.P1 + lam2 * ws.P2
+    A = sel.gram + lam1 * ws.P1 + lam2 * ws.P2
     theta_vec = solve_penalized(
         A,
         block.B.T @ block.C,
@@ -219,7 +238,7 @@ def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
         raise FuncovError("fit_auto expects a diagonal block")
     X, Q = _auto_design(block, ws)
     sel = _select_auto(block, X, Q, _checked_rho_grid(rho_grid))
-    A = X.T @ X + sel.rho * Q
+    A = sel.gram + sel.rho * Q
     beta = solve_penalized(
         A,
         X.T @ block.C,

@@ -24,7 +24,7 @@ weight) and for its symmetry-constrained blocks (a single penalty).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -34,6 +34,12 @@ from ._linalg import sym_sqrt_pair
 # Relative ridge added to X'X before whitening; far below statistical
 # noise but keeps the inverse root finite for deficient sparse designs.
 GRAM_RIDGE = 1e-10
+# A subject whose I - S_ii has an eigenvalue at or below this is one the
+# other subjects cannot predict: without it part of the fit is undetermined
+# (singular to rounding), and (I - S_ii)^{-1} would amplify rounding noise
+# by at least 1 / 1e-8, past the 1e-8 accuracy every score is held to. Such
+# a penalty level scores inf.
+LOSO_SINGULAR_TOL = 1e-8
 
 
 def size_groups(slices):
@@ -52,6 +58,22 @@ def size_groups(slices):
         np.add.outer(np.array(s, dtype=np.intp), np.arange(m))
         for m, s in sorted(starts.items())
     ]
+
+
+def loso_singular(M):
+    """Flags the stacked (k, m, m) matrices ``I - S_ii`` that are singular
+    to rounding: smallest eigenvalue at or below ``LOSO_SINGULAR_TOL``.
+
+    ``S_ii`` is positive semidefinite, so its largest eigenvalue is at most
+    its trace and every eigenvalue of ``M = I - S_ii`` is at least
+    ``trace(M) - (m - 1)``; only the matrices that bound cannot clear are
+    eigendecomposed.
+    """
+    m = M.shape[-1]
+    flag = np.trace(M, axis1=-2, axis2=-1) - (m - 1) <= LOSO_SINGULAR_TOL
+    if flag.any():
+        flag[flag] = np.linalg.eigvalsh(M[flag])[:, 0] <= LOSO_SINGULAR_TOL
+    return flag
 
 
 def loso_shortcut_error(X, y, slices, A):
@@ -73,7 +95,9 @@ def loso_shortcut_error(X, y, slices, A):
     float
         ``sum_i || (I - S_ii)^{-1} (S_i y - y_i) ||^2`` where S is the
         smoother ``X A^{-1} X'``. Equal to the sum of squared prediction
-        errors of n literal refits, each leaving one subject out.
+        errors of n literal refits, each leaving one subject out; ``inf``
+        when some ``I - S_ii`` is singular to rounding
+        (:func:`loso_singular`), where such a refit is undetermined.
     """
     cf = cho_factor(A)
     coef = cho_solve(cf, X.T @ y)
@@ -86,7 +110,10 @@ def loso_shortcut_error(X, y, slices, A):
         Mi = cho_solve(cf, Xi.T)
         Sii = Xi @ Mi
         resid = Xi @ coef - yi
-        e = np.linalg.solve(np.eye(Sii.shape[0]) - Sii, resid)
+        M = np.eye(Sii.shape[0]) - Sii
+        if loso_singular(M[None])[0]:
+            return np.inf
+        e = np.linalg.solve(M, resid)
         total += float(e @ e)
     return total
 
@@ -96,13 +123,15 @@ class SelectionResult:
     """Outcome of a grid search.
 
     ``surface`` lists (rho, weight, score) in evaluation order; non-finite
-    scores mark skipped grid points.
+    scores mark skipped grid points. ``gram`` is the design's ``X'X`` as
+    the selector formed it, so the final solve need not form it again.
     """
 
     rho: float
     weight: float
     score: float
     surface: list
+    gram: np.ndarray | None = field(default=None, repr=False)
 
 
 class GridSelector:
@@ -122,7 +151,8 @@ class GridSelector:
         y = np.asarray(y, dtype=float)
         q = X.shape[1]
         self.norm_y2 = float(y @ y)
-        Gn = X.T @ X
+        self.gram = X.T @ X
+        Gn = self.gram
         tr = float(np.trace(Gn))
         if tr > 0.0:
             Gn = Gn + (GRAM_RIDGE * tr / q) * np.eye(q)
@@ -249,4 +279,6 @@ def select_grid(X, y, slices, penalties, rho_grid, weight_grid):
     if best is None:
         raise FloatingPointError("selection criterion was non-finite on the whole grid")
     _, rho, weights, score = best
-    return SelectionResult(rho=rho, weight=weights[0], score=score, surface=surface)
+    return SelectionResult(
+        rho=rho, weight=weights[0], score=score, surface=surface, gram=sel.gram
+    )

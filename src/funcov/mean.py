@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._linalg import solve_penalized
-from .crossval import loso_shortcut_error, size_groups
+from .crossval import loso_shortcut_error, loso_singular, size_groups
 from .errors import FuncovError, SingularSystemError
 from .splines import SplineWorkspace, eval_basis_matrix
 
@@ -122,7 +122,9 @@ def loso_curve(B, y, slices, G0, DtD, tau_grid) -> np.ndarray:
     solved in one batch per subject size. A ``B'B`` that is not safely
     positive definite, and any tau whose batched solve fails, take the
     exact :func:`loso_shortcut_error` path instead; a tau where that fails
-    too scores ``inf``.
+    too scores ``inf``. On either path a tau at which some ``I - S_ii`` is
+    singular to rounding (:func:`funcov.crossval.loso_singular`) scores
+    ``inf``.
     """
     basis = _joint_basis(B, G0, DtD)
     groups = size_groups(slices)
@@ -170,7 +172,7 @@ def _joint_basis(B, G0, DtD):
 def _joint_errors(Q, lam, y, groups, taus) -> np.ndarray:
     """LOSO errors at every tau from the joint basis.
 
-    Raises LinAlgError when some ``I - S_ii`` is exactly singular.
+    A tau at which some ``I - S_ii`` is singular to rounding scores inf.
     """
     c = lam.size
     delta = 1.0 / (1.0 + taus[:, None] * lam)  # (T, c) smoother spectra
@@ -182,6 +184,10 @@ def _joint_errors(Q, lam, y, groups, taus) -> np.ndarray:
         outer = (Qg[:, :, None, :] * Qg[:, None, :, :]).reshape(-1, c)
         Sii = (delta @ outer.T).reshape(taus.size, n, m, m)
         resid = (fitted @ Qg.reshape(-1, c).T).reshape(taus.size, n, m) - y[rows]
-        e = np.linalg.solve(np.eye(m) - Sii, resid[..., None])
+        M = np.eye(m) - Sii
+        singular = loso_singular(M)  # (T, n)
+        M[singular] = np.eye(m)  # keeps the batch solvable; those taus score inf
+        e = np.linalg.solve(M, resid[..., None])
         total += (e * e).sum(axis=(1, 2, 3))
+        total[singular.any(axis=1)] = np.inf
     return total

@@ -5,6 +5,16 @@ observations are jointly Gaussian with covariances given by the fitted
 model, so the conditional mean and covariance are available in closed
 form. Predictions borrow strength across responses through the
 cross-covariance blocks.
+
+One batched path serves every caller. With the stacked coefficients
+``Theta``, a subject's observed design ``B_o`` (block diagonal by
+response) and ``V = B_o Theta B_o' + diag(sigma^2)``, the prediction at
+new points with design ``B_new`` is ``mu + B_new Theta z`` with
+``z = B_o' V^{-1} r``. The basis, the means and ``M_new = B_new Theta``
+are evaluated once per call; per subject only the products that involve
+its own observations are formed, with one Cholesky factorization of its
+``V``. This is the exact conditional expectation, reassociated, for any
+symmetric ``Theta``, refined or not.
 """
 
 from __future__ import annotations
@@ -54,11 +64,107 @@ class PredictionResult:
     jitter: float
 
 
+@dataclass
+class BatchPrediction:
+    """Predictions for every subject of a dataset.
+
+    On a shared grid (``times`` given) the pointwise arrays have shape
+    (n, p, m): subject, response, grid point. At observed times they have
+    shape (p, N) over the dataset's observation rows in pooled order
+    (``dataset.pooled(0)``, then ``pooled(1)``, ...); entry ``[k, r]``
+    predicts response k at ``times[r]`` for the subject who owns row r,
+    whichever response that row was observed in.
+
+    Attributes
+    ----------
+    times : ndarray, shape (m,) or (N,)
+        The grid, or the pooled observation times.
+    xhat : ndarray
+        Predicted curves.
+    var : ndarray or None
+        Pointwise conditional variance, clipped at zero; None when no
+        band was asked for.
+    lower, upper : ndarray or None
+        Pointwise prediction band; None when no band was asked for.
+    cov : ndarray, shape (n, pm, pm), or None
+        Conditional covariances, rows ordered response-major; only with
+        ``full_cov``. Their diagonals hold the unclipped ``var``.
+    scores : ndarray, shape (n, L)
+        Estimated component scores.
+    jitter : ndarray, shape (n,)
+        Diagonal jitter added to each subject's observation covariance.
+    """
+
+    times: np.ndarray
+    xhat: np.ndarray
+    var: np.ndarray | None
+    lower: np.ndarray | None
+    upper: np.ndarray | None
+    cov: np.ndarray | None
+    scores: np.ndarray
+    jitter: np.ndarray
+
+
 def _normal_quantile(level: float) -> float:
     # 1.96 is used verbatim for the conventional 95% band.
     if level == 0.95:
         return 1.96
     return float(norm.ppf(0.5 + level / 2.0))
+
+
+def predict_batch(
+    model: CovarianceModel,
+    eig: EigenSystem,
+    dataset,
+    times=None,
+    npc: int | None = None,
+    level: float | None = 0.95,
+    full_cov: bool = False,
+) -> BatchPrediction:
+    """Predict every subject of a dataset by conditional expectation.
+
+    The conditioning is exact for any symmetric stacked coefficient
+    matrix, refined (PSD) or not. A subject's observation covariance that
+    fails its Cholesky factorization gets a relative diagonal jitter of
+    ``V_JITTER`` once; if it is still not positive definite a
+    :class:`FuncovError` is raised. Each subject's results are computed
+    from its own observations alone, so they are bit-identical whichever
+    other subjects share the call (and equal :func:`predict_subject`).
+
+    Parameters
+    ----------
+    model : CovarianceModel
+    eig : EigenSystem
+        Eigendecomposition of the same model, used for the scores.
+    dataset : SparseFunctionalDataset
+        Observations; responses are matched to the model's by position.
+        A subject observed in no response gets the population mean and
+        the prior covariance.
+    times : array_like, optional
+        Grid shared by all subjects and responses. When omitted, every
+        response is predicted at each subject's own observation times.
+    npc : int, optional
+        Number of component scores to return; defaults to the
+        explained-variance choice stored in ``eig``.
+    level : float or None
+        Band coverage level in (0, 1). None skips the pointwise variance
+        and the band.
+    full_cov : bool
+        Also return each subject's full conditional covariance (needs
+        ``times`` and a band level).
+
+    Returns
+    -------
+    BatchPrediction
+    """
+    if dataset.n_responses != model.p:
+        raise FuncovError(
+            f"dataset has {dataset.n_responses} responses, the model {model.p}"
+        )
+    if times is not None:
+        times = np.atleast_1d(np.asarray(times, dtype=float)).ravel()
+    pooled = [dataset.pooled(k) for k in range(model.p)]
+    return _predict(model, eig, pooled, times, npc, level, full_cov)
 
 
 def predict_subject(
@@ -72,10 +178,14 @@ def predict_subject(
 ) -> PredictionResult:
     """Predict one subject's p curves at common new times.
 
+    Runs the :func:`predict_batch` path on the single subject, with the
+    full conditional covariance; the same contract applies. (A subject
+    without observations cannot form a dataset, so the subject's arrays
+    are pooled directly.)
+
     Parameters
     ----------
     model : CovarianceModel
-        A refined (PSD) model is expected; any model works numerically.
     eig : EigenSystem
         Eigendecomposition of the same model, used for the scores.
     obs_times, obs_values : sequences of ndarray, length p
@@ -94,82 +204,172 @@ def predict_subject(
     -------
     PredictionResult
     """
-    p, c = model.p, model.ws.c
+    p = model.p
     if len(obs_times) != p or len(obs_values) != p:
         raise FuncovError(f"expected {p} per-response observation arrays")
-    if not 0.0 < level < 1.0:
-        raise FuncovError(f"band level must lie in (0, 1), got {level}")
-    new_times = np.atleast_1d(np.asarray(new_times, dtype=float))
-    m_new = new_times.size
-    Theta = stack_blocks(model)
-
-    obs_times = [np.asarray(t, dtype=float).ravel() for t in obs_times]
-    obs_values = [np.asarray(v, dtype=float).ravel() for v in obs_values]
-    counts = [t.size for t in obs_times]
-    m_obs = int(sum(counts))
-
-    # block-diagonal observed design and stacked centered observations
-    Bo = np.zeros((m_obs, p * c))
-    resid = np.zeros(m_obs)
-    noise = np.zeros(m_obs)
-    row = 0
+    pooled = []
     for k in range(p):
-        t, v = obs_times[k], obs_values[k]
+        t = np.asarray(obs_times[k], dtype=float).ravel()
+        v = np.asarray(obs_values[k], dtype=float).ravel()
         if t.size != v.size:
             raise FuncovError(f"times/values mismatch in response {k}")
-        if t.size == 0:
-            continue
-        Bo[row : row + t.size, k * c : (k + 1) * c] = eval_basis_matrix(model.ws, t)
-        resid[row : row + t.size] = v - model.means[k](t)
-        noise[row : row + t.size] = model.sigma2[k]
-        row += t.size
+        pooled.append((t, v, np.array([t.size])))
+    new_times = np.atleast_1d(np.asarray(new_times, dtype=float)).ravel()
+    res = _predict(model, eig, pooled, new_times, npc, level, full_cov=True)
+    return PredictionResult(
+        times=new_times,
+        xhat=res.xhat[0],
+        cov=res.cov[0],
+        lower=res.lower[0],
+        upper=res.upper[0],
+        scores=res.scores[0],
+        jitter=float(res.jitter[0]),
+    )
 
-    Bn_small = eval_basis_matrix(model.ws, new_times)
-    Bn = np.kron(np.eye(p), Bn_small)
-    prior = Bn @ Theta @ Bn.T
-    mu_new = np.concatenate([model.means[k](new_times) for k in range(p)])
 
+def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction:
+    """The prediction path behind both entry points.
+
+    ``pooled`` holds one ``(times, values, counts)`` triple per response,
+    as :meth:`SparseFunctionalDataset.pooled` returns it.
+    """
+    p, c = model.p, model.ws.c
+    pc = p * c
+    if level is not None and not 0.0 < level < 1.0:
+        raise FuncovError(f"band level must lie in (0, 1), got {level}")
+    if full_cov and (times is None or level is None):
+        raise FuncovError("full covariances need a shared grid and a band level")
     L = eig.npc if npc is None else int(npc)
     if not 0 <= L <= eig.d.size:
         raise FuncovError(f"score count {L} out of range")
+    Theta = stack_blocks(model)
+    Gh = model.ws.G_half
+    to_scores = eig.U[:, :L].T @ (Gh @ Theta.reshape(p, c, pc)).reshape(pc, pc)
+    bands = level is not None
+    n = pooled[0][2].size
 
-    if m_obs == 0:
-        xhat_flat = mu_new
-        cov = 0.5 * (prior + prior.T)
-        scores = np.zeros(L)
-        jitter = 0.0
+    # Observation rows in pooled order (response-major), regrouped so that
+    # each subject's rows are contiguous (response-major within it).
+    t_pool = np.concatenate([t for t, _, _ in pooled])
+    resp = np.repeat(np.arange(p), [t.size for t, _, _ in pooled])
+    owner = np.concatenate([np.repeat(np.arange(n), m) for _, _, m in pooled])
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=n)
+    ends = np.cumsum(counts)
+    t_obs, resp = t_pool[order], resp[order]
+    y_obs = np.concatenate([v for _, v, _ in pooled])[order]
+    noise = model.sigma2[resp]
+    B_obs = eval_basis_matrix(model.ws, t_obs)
+    # Each mean is evaluated as MeanFit does, basis times coefficients, but
+    # the product is taken per subject: a matrix-vector product's rounding
+    # depends on the row's position in the array.
+    B_mean = [eval_basis_matrix(mean.ws, t_obs) for mean in model.means]
+    Bo = np.zeros((t_obs.size, pc))  # block-diagonal observed design
+    Bo[np.arange(t_obs.size)[:, None], (resp * c)[:, None] + np.arange(c)] = B_obs
+
+    var = cov = None
+    if times is not None:
+        m = times.size
+        Bn = eval_basis_matrix(model.ws, times)
+        M_new = _new_design(Bn, Theta, p)
+        mu_new = np.vstack([mean(times) for mean in model.means])
+        xhat = np.empty((n, p, m))
+        if bands:
+            prior_diag = _prior_diag(M_new, Bn, p)
+            var = np.empty((n, p * m))
+        if full_cov:
+            cov = np.empty((n, p * m, p * m))
+            prior = np.hstack([M_new[:, k * c : (k + 1) * c] @ Bn.T for k in range(p)])
     else:
-        cross = Bn @ Theta @ Bo.T
-        V = Bo @ Theta @ Bo.T + np.diag(noise)
-        jitter = 0.0
-        try:
-            cf = cho_factor(V)
-        except (LinAlgError, np.linalg.LinAlgError):
-            jitter = V_JITTER * float(np.trace(V)) / V.shape[0]
-            try:
-                cf = cho_factor(V + jitter * np.eye(V.shape[0]))
-            except (LinAlgError, np.linalg.LinAlgError):
-                raise FuncovError(
-                    "observation covariance is singular even after jitter"
-                ) from None
-        w = cho_solve(cf, resid)
-        xhat_flat = cross @ w + mu_new
-        cov = prior - cross @ cho_solve(cf, cross.T)
-        cov = 0.5 * (cov + cov.T)
-        Gh_stack = np.kron(np.eye(p), model.ws.G_half)
-        proj = Gh_stack @ Theta @ Bo.T @ w
-        scores = eig.U[:, :L].T @ proj
+        xhat = np.empty((p, t_obs.size))
+        if bands:
+            var = np.empty((p, t_obs.size))
+    scores = np.zeros((n, L))
+    jitter = np.zeros(n)
 
-    z = _normal_quantile(level)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    xhat = xhat_flat.reshape(p, m_new)
-    half = (z * se).reshape(p, m_new)
-    return PredictionResult(
-        times=new_times,
+    for i in range(n):
+        rows = slice(ends[i] - counts[i], ends[i])
+        Bo_i = Bo[rows]
+        # every response's mean at each of the subject's times
+        mu_i = np.array([B[rows] @ mean.alpha for B, mean in zip(B_mean, model.means)])
+        factor = None
+        z = np.zeros(pc)
+        if counts[i]:
+            V = Bo_i @ Theta @ Bo_i.T
+            V[np.diag_indices_from(V)] += noise[rows]
+            cf, jitter[i] = _factor(V)
+            resid = y_obs[rows] - mu_i[resp[rows], np.arange(counts[i])]
+            z = Bo_i.T @ cho_solve(cf, resid, check_finite=False)
+            factor = (cf, Bo_i)
+            scores[i] = to_scores @ z
+        if times is not None:
+            xhat[i] = mu_new + (M_new @ z).reshape(p, m)
+            if bands:
+                var[i], cross, G = _conditional(M_new, prior_diag, factor)
+            if full_cov:
+                C = prior if cross is None else prior - cross @ G
+                cov[i] = 0.5 * (C + C.T)
+                np.fill_diagonal(cov[i], var[i])  # the band's variance, exactly
+        elif counts[i]:
+            cols = order[rows]
+            xhat[:, cols] = mu_i + (B_obs[rows] @ (Theta @ z).reshape(p, c).T).T
+            if bands:
+                M_i = _new_design(B_obs[rows], Theta, p)
+                var_i, _, _ = _conditional(M_i, _prior_diag(M_i, B_obs[rows], p), factor)
+                var[:, cols] = var_i.reshape(p, counts[i])
+
+    lower = upper = None
+    if bands:
+        var = np.clip(var.reshape(xhat.shape), 0.0, None)
+        half = _normal_quantile(level) * np.sqrt(var)
+        lower, upper = xhat - half, xhat + half
+    return BatchPrediction(
+        times=t_pool if times is None else times,
         xhat=xhat,
+        var=var,
+        lower=lower,
+        upper=upper,
         cov=cov,
-        lower=xhat - half,
-        upper=xhat + half,
         scores=scores,
         jitter=jitter,
     )
+
+
+def _factor(V):
+    """Cholesky factor of V, jittered once if needed; returns (factor, jitter)."""
+    try:
+        return cho_factor(V, check_finite=False), 0.0
+    except (LinAlgError, np.linalg.LinAlgError):
+        pass
+    jitter = V_JITTER * float(np.trace(V)) / V.shape[0]
+    try:
+        return cho_factor(V + jitter * np.eye(V.shape[0]), check_finite=False), jitter
+    except (LinAlgError, np.linalg.LinAlgError):
+        raise FuncovError("observation covariance is singular even after jitter") from None
+
+
+def _new_design(Bn, Theta, p):
+    """``kron(I_p, Bn) Theta`` without the Kronecker product: (p m, pc)."""
+    m, c = Bn.shape
+    return (Bn @ Theta.reshape(p, c, -1)).reshape(p * m, -1)
+
+
+def _prior_diag(M_new, Bn, p):
+    """Diagonal of the prior covariance ``M_new kron(I_p, Bn)'``."""
+    m, c = Bn.shape
+    blocks = M_new.reshape(p, m, p, c)
+    return np.concatenate([(blocks[k, :, k, :] * Bn).sum(axis=1) for k in range(p)])
+
+
+def _conditional(M_new, prior_diag, factor):
+    """Pointwise conditional variance (unclipped), with the cross
+    covariance ``M_new B_o'`` and ``G = V^{-1} cross'`` it came from.
+
+    A subject without observations keeps the prior (cross and G None).
+    """
+    if factor is None:
+        return prior_diag, None, None
+    cf, Bo_i = factor
+    cross = M_new @ Bo_i.T  # (pm, m_i)
+    G = cho_solve(cf, cross.T, check_finite=False)  # (m_i, pm)
+    return prior_diag - (cross.T * G).sum(axis=0), cross, G

@@ -22,7 +22,9 @@ from ._linalg import eigh_desc
 from .dataset import SparseFunctionalDataset
 from .errors import FuncovError
 from .fpca import eval_covariance, eval_eigenfunction
-from .predict import predict_subject
+# predict_subject stays importable from here: the benchmark's tracer
+# (bench/tracing.py) wraps it under this module's name.
+from .predict import predict_batch, predict_subject  # noqa: F401
 
 P = 3
 
@@ -141,9 +143,13 @@ class GroundTruth:
         return true_covariance(self.rho, k, kp, s, t)
 
     def curve(self, scores: np.ndarray, k: int, t) -> np.ndarray:
-        """True curve of one subject's response k at times t."""
-        contrib = feature_triple(k, t).T @ (self.V[3 * k : 3 * k + 3, :] * scores)
-        return mean_function(k, t) + contrib.sum(axis=1)
+        """True curve of response k at times t.
+
+        ``scores`` of shape (9,) gives one subject's curve, shape (m,);
+        a stack of shape (n, 9) gives n curves, shape (n, m).
+        """
+        loadings = scores @ self.V[3 * k : 3 * k + 3, :].T
+        return mean_function(k, t) + loadings @ feature_triple(k, t)
 
 
 def noise_variance(d: np.ndarray, snr: float) -> float:
@@ -332,14 +338,11 @@ def mise(model, eig, truth: GroundTruth, grid_size: int = 101, npc=None) -> floa
     grid = np.linspace(0.0, 1.0, grid_size)
     w = _trapz_weights(grid)
     data = truth.test_data
+    pred = predict_batch(model, eig, data, grid, npc=npc, level=None)
     total = 0.0
-    for i in range(data.n_subjects):
-        obs_t = [data.obs(i, k)[0] for k in range(P)]
-        obs_v = [data.obs(i, k)[1] for k in range(P)]
-        pred = predict_subject(model, eig, obs_t, obs_v, grid, npc=npc)
-        for k in range(P):
-            x_true = truth.curve(truth.test_scores[i], k, grid)
-            total += float(w @ (x_true - pred.xhat[k]) ** 2)
+    for k in range(P):
+        err = truth.curve(truth.test_scores, k, grid) - pred.xhat[:, k]
+        total += float(((err**2) @ w).sum())
     return total / (data.n_subjects * P)
 
 
@@ -350,25 +353,17 @@ def ape(model, eig, data, npc=None) -> np.ndarray:
     mean of ``(y - yhat)^2``; subjects unobserved in k are skipped.
     """
     p = data.n_responses
+    pred = predict_batch(model, eig, data, npc=npc, level=None)
     out = np.zeros(p)
-    counts = np.zeros(p, dtype=int)
-    for i in range(data.n_subjects):
-        obs_t = [data.obs(i, k)[0] for k in range(p)]
-        obs_v = [data.obs(i, k)[1] for k in range(p)]
-        union = np.unique(np.concatenate([t for t in obs_t if t.size]))
-        if union.size == 0:
-            continue
-        pred = predict_subject(model, eig, obs_t, obs_v, union, npc=npc)
-        pos = {float(t): j for j, t in enumerate(union)}
-        for k in range(p):
-            if obs_t[k].size == 0:
-                continue
-            idx = [pos[float(t)] for t in obs_t[k]]
-            err = obs_v[k] - pred.xhat[k][idx]
-            out[k] += float(np.mean(err**2))
-            counts[k] += 1
-    mask = counts > 0
-    out[mask] /= counts[mask]
+    start = 0
+    for k in range(p):
+        _, v, counts = data.pooled(k)
+        err2 = (v - pred.xhat[k, start : start + v.size]) ** 2
+        start += v.size
+        seen = counts > 0
+        if seen.any():
+            first = (np.cumsum(counts) - counts)[seen]
+            out[k] = float(np.mean(np.add.reduceat(err2, first) / counts[seen]))
     return out
 
 

@@ -184,6 +184,48 @@ def test_predict_grid_matches_library(tmp_path, capsys):
         assert float(row[2]) == pred.scores[ell]
 
 
+def test_predict_observed_matches_library(tmp_path, capsys):
+    model, eig, model_path = prediction_model(tmp_path, seed=5)
+    rows = [
+        ["a", "y1", "0.8", "1.0"],
+        ["a", "y1", "0.2", "-0.3"],
+        ["a", "y2", "0.5", "0.7"],
+        ["a", "y2", "0.2", "0.1"],  # the same time in both responses
+        ["b", "y2", "0.7", "-1.2"],
+        ["c", "y1", "1.5", "2.0"],  # only an out-of-domain observation
+    ]
+    out_path = tmp_path / "pred.csv"
+    run_ok(
+        capsys,
+        ["predict", "--model", str(model_path), "--data", str(write_query(tmp_path, rows)),
+         "--out", str(out_path), "--times", "observed"],
+    )
+    got = read_rows(out_path)[1:]
+    scores = read_rows(tmp_path / "pred.scores.csv")[1:]
+    subjects = {
+        "a": ([np.array([0.8, 0.2]), np.array([0.5, 0.2])],
+              [np.array([1.0, -0.3]), np.array([0.7, 0.1])]),
+        "b": ([np.zeros(0), np.array([0.7])], [np.zeros(0), np.array([-1.2])]),
+    }
+    for subject, (obs_t, obs_v) in subjects.items():
+        union = np.unique(np.concatenate(obs_t))
+        pred = predict_subject(model, eig, obs_t, obs_v, union)
+        var = np.clip(np.diag(pred.cov), 0.0, None).reshape(2, union.size)
+        mine = [r for r in got if r[0] == subject]
+        assert [(r[1], float(r[2])) for r in mine] == [
+            (label, t) for label in model.response_labels for t in union
+        ]
+        for r in mine:
+            k, j = model.response_labels.index(r[1]), int(np.searchsorted(union, float(r[2])))
+            expected = [pred.xhat[k, j], var[k, j], pred.lower[k, j], pred.upper[k, j]]
+            got_values = [float(x) for x in r[3:7]]
+            np.testing.assert_allclose(got_values, expected, rtol=1e-10, atol=1e-12)
+        assert [float(r[2]) for r in scores if r[0] == subject] == list(pred.scores)
+    # no in-domain observation: no prediction rows and no scores, only the error row
+    assert [r[7] != "" for r in got if r[0] == "c"] == [True]
+    assert [r for r in scores if r[0] == "c"] == []
+
+
 def test_predict_zero_model_returns_means(tmp_path, capsys):
     model = zero_model(p=2, n_interior=2, sigma2=0.4)
     rng = np.random.default_rng(2)

@@ -218,6 +218,20 @@ def test_auto_matches_dense_solve():
     np.testing.assert_array_equal(fit.theta, fit.theta.T)
 
 
+def test_auto_design_and_gram_match_the_duplication_product():
+    # enough rows for several row blocks of the gather, one of them partial
+    ws = build_workspace((0.0, 1.0), 2, 4)
+    data = residual_dataset(14, n=60, p=1, m_range=(3, 5))
+    block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
+    assert block.B.shape[0] > 2 * covsmooth.DESIGN_ROW_BLOCK
+    X, _ = covsmooth._auto_design(block, ws)
+    dense = np.hstack([block.B @ ws.Gc, block.Z[:, None]])
+    np.testing.assert_array_equal(X, dense)
+    np.testing.assert_array_equal(select_smoothing(block, ws).gram, dense.T @ dense)
+    cross = build_aux(residual_dataset(15, n=8, p=2), zero_means(ws, 2), ws, 0, 1)
+    np.testing.assert_array_equal(select_smoothing(cross, ws).gram, cross.B.T @ cross.B)
+
+
 def test_auto_recovers_exact_surface():
     # plug exact surface values (zero noise) into an auto block: the fit
     # reproduces the symmetric coefficient matrix and a zero variance
@@ -349,18 +363,21 @@ def test_selection_cost_scales_linearly_in_subjects():
 
     P = [np.eye(100)]
 
-    def run_once(X, y, slices):
+    # Only the per-subject scoring is timed: the whitening and the penalty
+    # eigendecomposition cost the same at any n and would dilute the ratio.
+    # Small and big runs alternate, so a slow spell of the host hits both.
+    def stage(X, y, slices):
+        return GridSelector(X, y, slices, P).for_weights((1.0,))
+
+    def run_once(st):
         t0 = time.perf_counter()
-        sel = GridSelector(X, y, slices, P)
-        stage = sel.for_weights((1.0,))
-        for rho in (0.1, 1.0, 10.0, 100.0):
-            stage.score(rho)
+        st.score_all([0.1, 1.0, 10.0, 100.0])
         return time.perf_counter() - t0
 
     n = 400
-    X1, y1, s1 = build(n, 0)
-    X2, y2, s2 = build(2 * n, 1)
-    run_once(X1, y1, s1)  # warm-up
-    t_small = np.median([run_once(X1, y1, s1) for _ in range(5)])
-    t_big = np.median([run_once(X2, y2, s2) for _ in range(5)])
+    small = stage(*build(n, 0))
+    big = stage(*build(2 * n, 1))
+    run_once(small)  # warm-up
+    pairs = [(run_once(small), run_once(big)) for _ in range(7)]
+    t_small, t_big = np.median(pairs, axis=0)
     assert 1.5 <= t_big / t_small <= 3.0

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from funcov import build_workspace
-from funcov.crossval import GridSelector, loso_shortcut_error, select_grid
+from funcov.crossval import (
+    LOSO_SINGULAR_TOL,
+    GridSelector,
+    loso_shortcut_error,
+    loso_singular,
+    select_grid,
+)
 
 import oracles
 
@@ -199,3 +205,22 @@ def test_score_all_matches_direct_formula_and_single_points():
     slices_p = [(int(e - (slices[j][1] - slices[j][0])), int(e)) for e, j in zip(ends, perm)]
     vals_p = GridSelector(Xp, yp, slices_p, [P]).for_weights((1.0,)).score_all(rho_grid)
     np.testing.assert_allclose(vals_p, vals, rtol=1e-12, atol=0)
+
+
+def test_loso_singular_flags_exactly_the_small_eigenvalues():
+    # I - S_ii with S_ii PSD and eigenvalues in [0, 1]: the smallest
+    # eigenvalue of I - S_ii is set, the rest spread; the trace screen
+    # clears some matrices and leaves the others to the eigendecomposition
+    rng = np.random.default_rng(5)
+    smallest = [0.0, -1e-17, 1e-12, 0.5 * LOSO_SINGULAR_TOL, 2 * LOSO_SINGULAR_TOL,
+                1e-6, 0.3, 0.9]
+    mats = []
+    for lo in smallest:
+        for rest in ([0.95, 0.99], [0.2, 0.4]):
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            mats.append(Q @ np.diag([lo, *rest]) @ Q.T)
+    M = np.array(mats)
+    expected = np.linalg.eigvalsh(M)[:, 0] <= LOSO_SINGULAR_TOL
+    assert expected.sum() == 8
+    np.testing.assert_array_equal(loso_singular(M), expected)
+    np.testing.assert_array_equal(loso_singular(M.reshape(4, 4, 3, 3)), expected.reshape(4, 4))

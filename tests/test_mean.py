@@ -265,6 +265,26 @@ def test_ill_conditioned_gram_matches_exact_and_literal_paths(
         assert val == pytest.approx(literal, rel=1e-8)
 
 
+def test_loso_point_singular_to_rounding_scores_inf_on_both_paths(monkeypatch):
+    # At tau = 0 each edge subject alone observes an end basis function, so
+    # leaving it out leaves the fit undetermined: I - S_ii is singular to
+    # rounding and both paths score that tau inf rather than a huge number.
+    ws = build_workspace((0.0, 1.0), 5, 4)
+    data = boundary_sparse_dataset(0.01, 0.25)
+    B, y, slices, G0, DtD = pooled_design(data, ws)
+    taus = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
+    calls = count_exact_calls(monkeypatch)
+    batched = loso_curve(B, y, slices, G0, DtD, taus)
+    assert calls == []
+    monkeypatch.setattr(mean, "JOINT_RCOND", 1.0)  # every B'B takes the exact path
+    exact = loso_curve(B, y, slices, G0, DtD, taus)
+    assert len(calls) == taus.size
+    assert batched[0] == exact[0] == np.inf
+    assert np.all(np.isfinite(batched[1:]))
+    np.testing.assert_allclose(batched[1:], exact[1:], rtol=1e-8)
+    assert fit_mean(data, 0, ws, tau_grid=taus).tau > 0.0
+
+
 def test_singular_gram_takes_the_exact_path(monkeypatch):
     # four distinct times against c = 10 basis functions: B'B is singular
     rng = np.random.default_rng(70)

@@ -6,8 +6,8 @@ from scipy.stats import norm
 
 import funcov
 from funcov import FuncovError
-from funcov.fpca import eigendecompose, eval_eigenfunction, stack_blocks
-from funcov.predict import predict_subject
+from funcov.fpca import eigendecompose, eval_eigenfunction, stack_blocks, whitened_stack
+from funcov.predict import predict_batch, predict_subject
 from funcov.splines import eval_basis_matrix
 
 import oracles
@@ -237,3 +237,145 @@ def test_validation_errors():
         predict_subject(model, eig, good_t, good_v, [0.5], npc=99)
     with pytest.raises(FuncovError, match="mismatch"):
         predict_subject(model, eig, [np.array([0.5, 0.6]), np.zeros(0)], good_v, [0.5])
+
+
+def dense_condition(model, obs_t, obs_v, new_t):
+    """Direct joint-Gaussian conditioning of one subject, every covariance
+    materialized; ``new_t[k]`` lists the new times of response k."""
+    p, ws = model.p, model.ws
+    Theta = stack_blocks(model)
+
+    def design(times):
+        rows = [eval_basis_matrix(ws, t) for t in times]
+        out = np.zeros((sum(r.shape[0] for r in rows), p * ws.c))
+        start = 0
+        for k, r in enumerate(rows):
+            out[start : start + r.shape[0], k * ws.c : (k + 1) * ws.c] = r
+            start += r.shape[0]
+        return out
+
+    Bo, Bn = design(obs_t), design(new_t)
+    noise = np.concatenate([np.full(len(t), model.sigma2[k]) for k, t in enumerate(obs_t)])
+    C_oo = Bo @ Theta @ Bo.T + np.diag(noise)
+    mu_new = np.concatenate([model.means[k](t) for k, t in enumerate(new_t)])
+    mu_obs = np.concatenate([model.means[k](np.asarray(t, float)) for k, t in enumerate(obs_t)])
+    y = np.concatenate([np.asarray(v, float) for v in obs_v])
+    return oracles.gauss_condition(
+        mu_new, mu_obs, Bn @ Theta @ Bn.T, Bn @ Theta @ Bo.T, C_oo, y
+    )
+
+
+def mixed_batch():
+    """An unrefined, indefinite two-response model (noise-free second
+    response) and subjects covering every conditioning case."""
+    model = make_psd_model(seed=44, p=2, n_interior=1)
+    model = with_means(model, seed=44)
+    model.blocks[0, 1] *= 2.0
+    model.blocks[1, 0] = model.blocks[0, 1].T
+    model.refined = False
+    model.sigma2 = np.array([0.3, 0.0])
+    rng = np.random.default_rng(45)
+    times = {
+        "both": ([0.1, 0.6], [0.35]),
+        "y1_only": ([0.2, 0.45, 0.9], []),  # missing the second response
+        "none": ([], []),  # gets the prior
+        # a noise-free repeat makes V exactly singular: jitter
+        "repeat": ([], [0.3, 0.3, 0.75]),
+        "y2_only": ([], [0.55]),
+    }
+    labels = list(times)
+    obs_t = [[np.array(t, float) for t in times[s]] for s in labels]
+    obs_v = [[rng.standard_normal(t.size) for t in row] for row in obs_t]
+    obs_v[3][1][1] = obs_v[3][1][0]
+    return model, labels, obs_t, obs_v
+
+
+def batch_of(labels, obs_t, obs_v, keep):
+    return funcov.SparseFunctionalDataset(
+        [labels[i] for i in keep], ["y1", "y2"],
+        [obs_t[i] for i in keep], [obs_v[i] for i in keep],
+    )
+
+
+def test_batch_matches_direct_conditioning_for_every_subject():
+    model, labels, obs_t, obs_v = mixed_batch()
+    assert np.linalg.eigvalsh(whitened_stack(model))[0] < -0.1  # indefinite
+    eig = eigendecompose(model)
+    grid = np.linspace(0.0, 1.0, 7)
+    data = batch_of(labels, obs_t, obs_v, range(len(labels)))
+    res = predict_batch(model, eig, data, grid, full_cov=True)
+
+    assert [lab for lab, j in zip(labels, res.jitter) if j > 0] == ["repeat"]
+    # the noise-free repeat carries no information: the oracle conditions on
+    # the observation once
+    rep = labels.index("repeat")
+    oracle_t, oracle_v = list(obs_t), list(obs_v)
+    oracle_t[rep] = [obs_t[rep][0], obs_t[rep][1][1:]]
+    oracle_v[rep] = [obs_v[rep][0], obs_v[rep][1][1:]]
+    for i in range(len(labels)):
+        xhat, cov = dense_condition(model, oracle_t[i], oracle_v[i], [grid, grid])
+        np.testing.assert_allclose(res.xhat[i].ravel(), xhat, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(res.cov[i], cov, rtol=0, atol=1e-8)
+        var = np.clip(np.diag(cov), 0.0, None)
+        np.testing.assert_allclose(res.var[i].ravel(), var, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(np.diag(res.cov[i]).clip(0.0), res.var[i].ravel())
+    none = labels.index("none")
+    mu = np.vstack([model.means[k](grid) for k in range(2)])
+    np.testing.assert_array_equal(res.xhat[none], mu)
+    np.testing.assert_array_equal(res.scores[none], np.zeros(eig.npc))
+
+    # the same path at each subject's own times, without covariances
+    obs = predict_batch(model, eig, data)
+    start = 0
+    for k in range(2):
+        t_k, _, counts = data.pooled(k)
+        owner = np.repeat(np.arange(len(labels)), counts)
+        for r, (t, i) in enumerate(zip(t_k, owner), start=start):
+            xhat, cov = dense_condition(model, oracle_t[i], oracle_v[i], [[t], [t]])
+            np.testing.assert_allclose(obs.xhat[:, r], xhat, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(obs.var[:, r], np.diag(cov).clip(0.0), atol=1e-8)
+        start += t_k.size
+
+
+def test_batch_subjects_are_independent_bit_for_bit():
+    model, labels, obs_t, obs_v = mixed_batch()
+    eig = eigendecompose(model)
+    grid = np.linspace(0.0, 1.0, 9)
+    n = len(labels)
+    full = predict_batch(model, eig, batch_of(labels, obs_t, obs_v, range(n)), grid, full_cov=True)
+    fields = ("xhat", "var", "lower", "upper", "cov", "scores", "jitter")
+
+    perm = [3, 0, 4, 2, 1]
+    permuted = predict_batch(model, eig, batch_of(labels, obs_t, obs_v, perm), grid, full_cov=True)
+    for name in fields:
+        np.testing.assert_array_equal(getattr(permuted, name), getattr(full, name)[perm])
+
+    # without the jittered subject the others are unchanged, bit for bit
+    rest = [i for i in range(n) if labels[i] != "repeat"]
+    without = predict_batch(model, eig, batch_of(labels, obs_t, obs_v, rest), grid, full_cov=True)
+    assert np.all(without.jitter == 0.0)
+    for name in fields:
+        np.testing.assert_array_equal(getattr(without, name), getattr(full, name)[rest])
+
+    # predict_subject is the batch path on one subject
+    for i in range(n):
+        one = predict_subject(model, eig, obs_t[i], obs_v[i], grid)
+        for name in ("xhat", "lower", "upper", "cov", "scores", "jitter"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(full, name)[i])
+
+
+def test_batch_without_band_skips_variance():
+    model, labels, obs_t, obs_v = mixed_batch()
+    eig = eigendecompose(model)
+    data = batch_of(labels, obs_t, obs_v, range(len(labels)))
+    grid = np.linspace(0.0, 1.0, 5)
+    banded = predict_batch(model, eig, data, grid)
+    bare = predict_batch(model, eig, data, grid, level=None)
+    assert bare.var is None and bare.lower is None and bare.upper is None and bare.cov is None
+    assert banded.cov is None
+    np.testing.assert_array_equal(bare.xhat, banded.xhat)
+    np.testing.assert_array_equal(bare.scores, banded.scores)
+    with pytest.raises(FuncovError, match="shared grid"):
+        predict_batch(model, eig, data, full_cov=True)
+    with pytest.raises(FuncovError, match="responses"):
+        predict_batch(make_psd_model(seed=1, p=3, n_interior=1), eig, data, grid)
