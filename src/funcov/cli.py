@@ -26,7 +26,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,7 +73,12 @@ def _add_fit_flags(sp):
     sp.add_argument("--n-interior-cov", dest="n_interior_cov", type=int)
     sp.add_argument("--pve", type=float, help="explained-variance target")
     sp.add_argument("--npc", type=int, help="force the component count")
-    sp.add_argument("--workers", type=int, help="thread pool size")
+    sp.add_argument(
+        "--workers",
+        type=int,
+        help="threads for a fit's independent mean and covariance-block tasks; "
+        "pays only with single-threaded BLAS (evaluate runs replicates in order)",
+    )
     sp.add_argument("--grid-size", dest="grid_size", type=int)
 
 
@@ -363,55 +367,30 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     n_values = cfg.n_values or [cfg.n]
     settings = _fit_settings(cfg)
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(len(n_values) * cfg.replicates)
-    runs = [
-        (n, r, children[i * cfg.replicates + r])
-        for i, n in enumerate(n_values)
-        for r in range(cfg.replicates)
-    ]
-
-    def one_run(run):
-        n, r, child = run
-        design = SimDesign(
-            n=n,
-            rho=cfg.rho,
-            snr=cfg.snr,
-            m_min=cfg.m_min,
-            m_max=cfg.m_max,
-            seed=child,
-            n_test=cfg.n_test,
-        )
-        return replicate_metrics(
-            design,
-            settings,
-            grid_size=cfg.grid_size,
-            compare_zero_cross=cfg.compare_zero_cross,
-        )
-
-    results = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(one_run, run) for run in runs]
-            for run, fut in zip(runs, futures):
-                try:
-                    results.append((run, fut.result()))
-                except Exception as exc:  # noqa: BLE001 - recorded per replicate
-                    results.append((run, exc))
-    else:
-        for run in runs:
+    children = np.random.SeedSequence(cfg.seed).spawn(len(n_values) * cfg.replicates)
+    rows, failures = [], []
+    for i, n in enumerate(n_values):
+        for r in range(cfg.replicates):
             try:
-                results.append((run, one_run(run)))
+                design = SimDesign(
+                    n=n,
+                    rho=cfg.rho,
+                    snr=cfg.snr,
+                    m_min=cfg.m_min,
+                    m_max=cfg.m_max,
+                    seed=children[i * cfg.replicates + r],
+                    n_test=cfg.n_test,
+                )
+                metrics = replicate_metrics(
+                    design,
+                    settings,
+                    grid_size=cfg.grid_size,
+                    compare_zero_cross=cfg.compare_zero_cross,
+                )
             except Exception as exc:  # noqa: BLE001 - recorded per replicate
-                results.append((run, exc))
-
-    failures = []
-    rows = []
-    for (n, r, _), outcome in results:
-        if isinstance(outcome, Exception):
-            failures.append({"n": n, "replicate": r, "error": str(outcome)})
-            continue
-        rows.append((n, r, outcome))
+                failures.append({"n": n, "replicate": r, "error": str(exc)})
+                continue
+            rows.append((n, r, metrics))
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     with open(metrics_path, "w", newline="") as fh:

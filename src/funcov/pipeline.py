@@ -27,6 +27,9 @@ class FitSettings:
 
     ``tau_grid``, ``rho_grid`` and ``w_grid`` default to the module-level
     grids when None. ``domain`` defaults to the observed time range.
+    ``workers`` is the thread count for the fit's independent tasks: the
+    per-response means, then the covariance blocks. It pays only when BLAS
+    runs single-threaded; every result is the same at any count.
     """
 
     order: int = 4
@@ -59,8 +62,8 @@ class FitResult:
 
 
 def _run_indexed(tasks, workers):
-    """Evaluate thunks, optionally in a thread pool, preserving order."""
-    if workers and workers > 1 and len(tasks) > 1:
+    """Evaluate thunks, in a thread pool when workers > 1, preserving order."""
+    if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(t) for t in tasks]
             return [f.result() for f in futures]
@@ -80,6 +83,10 @@ def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult
     FitResult
     """
     settings = settings or FitSettings()
+    workers = settings.workers
+    integral = isinstance(workers, (int, np.integer)) and not isinstance(workers, bool)
+    if not integral or workers < 1:
+        raise FuncovError(f"workers must be an integer >= 1, got {workers!r}")
     p = data.n_responses
     domain = settings.domain
     if domain is None:
@@ -99,7 +106,7 @@ def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult
             (lambda kk=k: fit_mean(data, kk, ws_mean, settings.tau_grid))
             for k in range(p)
         ],
-        settings.workers,
+        workers,
     )
 
     pairs = [(k, kp) for k in range(p) for kp in range(k, p)]
@@ -112,7 +119,7 @@ def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult
 
     fits = _run_indexed(
         [(lambda kk=k, kkp=kp: _fit_pair(kk, kkp)) for k, kp in pairs],
-        settings.workers,
+        workers,
     )
 
     upper = {}

@@ -350,13 +350,14 @@ def test_evaluate_outputs_and_rerun_determinism(tmp_path, capsys):
     assert set(per_n[0]["metrics"]["rise"]) == {"median", "q25", "q75"}
     assert "mise_zero_cross" not in per_n[0]["metrics"]
 
+    # a rerun, and a run whose fits use the block thread pool, give the same bytes
     run_ok(capsys, evaluate_args(tmp_path / "b"))
-    assert (tmp_path / "a" / "metrics.csv").read_bytes() == (
-        tmp_path / "b" / "metrics.csv"
-    ).read_bytes()
-    assert (tmp_path / "a" / "summary.json").read_bytes() == (
-        tmp_path / "b" / "summary.json"
-    ).read_bytes()
+    run_ok(capsys, evaluate_args(tmp_path / "w2", ("--workers", "2")))
+    for rerun in ("b", "w2"):
+        for name in ("metrics.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / rerun / name
+            ).read_bytes(), (rerun, name)
 
 
 def test_evaluate_zero_cross_column(tmp_path, capsys):

@@ -110,21 +110,27 @@ def test_hand_enumerated_ordering():
 
 
 def test_zero_residuals_give_zero_fit():
-    # values equal the fitted means exactly: products vanish identically
+    # values equal the fitted means exactly: products vanish identically.
+    # The values come from the same call build_aux makes, the mean over the
+    # response's pooled times, since BLAS may round a row differently at
+    # another position or in a shorter product.
     rng = np.random.default_rng(4)
     ws = build_workspace((0.0, 1.0), 2, 4)
     alpha = [rng.standard_normal(ws.c), rng.standard_normal(ws.c)]
     means = [spline_mean(ws, a) for a in alpha]
-    subjects, responses, times, values = [], [], [], []
-    for i in range(6):
-        for k in range(2):
-            t = rng.random(3)
-            v = eval_basis_matrix(ws, t) @ alpha[k]
-            subjects += [f"s{i}"] * 3
-            responses += [f"y{k + 1}"] * 3
-            times += list(t)
-            values += list(v)
-    data = funcov.SparseFunctionalDataset.from_long(subjects, responses, times, values)
+    times = rng.random((2, 6 * 3))
+    subjects, responses, values = [], [], []
+    for k in range(2):
+        subjects += [f"s{i}" for i in range(6) for _ in range(3)]
+        responses += [f"y{k + 1}"] * times[k].size
+        values += list(means[k](times[k]))
+    data = funcov.SparseFunctionalDataset.from_long(
+        subjects, responses, times.ravel(), values
+    )
+    for k in range(2):
+        t, v, _ = data.pooled(k)
+        np.testing.assert_array_equal(t, times[k])
+        np.testing.assert_array_equal(v, means[k](t))
 
     cross = build_aux(data, means, ws, 0, 1)
     np.testing.assert_array_equal(cross.C, np.zeros_like(cross.C))
