@@ -26,6 +26,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -162,18 +163,25 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _fit_settings(cfg: RunConfig) -> FitSettings:
-    return FitSettings(
-        order=cfg.order,
-        n_interior_mean=cfg.n_interior_mean,
-        n_interior_cov=cfg.n_interior_cov,
-        tau_grid=cfg.tau_grid,
-        rho_grid=cfg.rho_grid,
-        w_grid=cfg.w_grid,
-        pve=cfg.pve,
-        npc=cfg.npc,
-        domain=cfg.domain,
-        workers=cfg.workers,
+    return FitSettings(**{f.name: getattr(cfg, f.name) for f in fields(FitSettings)})
+
+
+def _sim_design(cfg: RunConfig, n: int, seed) -> SimDesign:
+    return SimDesign(
+        n=n,
+        rho=cfg.rho,
+        snr=cfg.snr,
+        m_min=cfg.m_min,
+        m_max=cfg.m_max,
+        seed=seed,
+        n_test=cfg.n_test,
     )
+
+
+def _design_record(cfg: RunConfig, *extra) -> dict:
+    """The simulation settings written to truth.json and summary.json."""
+    keys = ("rho", "snr", "m_min", "m_max", "seed", "replicates", "n_test") + extra
+    return {key: getattr(cfg, key) for key in keys}
 
 
 def cmd_fit(args) -> int:
@@ -312,16 +320,7 @@ def cmd_simulate(args) -> int:
     children = root.spawn(cfg.replicates)
     d, _ = eigh_desc(coupling_matrix(cfg.rho))
     for r in range(cfg.replicates):
-        design = SimDesign(
-            n=cfg.n,
-            rho=cfg.rho,
-            snr=cfg.snr,
-            m_min=cfg.m_min,
-            m_max=cfg.m_max,
-            seed=children[r],
-            n_test=cfg.n_test,
-        )
-        train, truth = generate(design)
+        train, truth = generate(_sim_design(cfg, cfg.n, children[r]))
         train.to_csv(os.path.join(args.out_dir, f"replicate_{r:03d}.csv"))
         if truth.test_data is not None:
             truth.test_data.to_csv(
@@ -330,16 +329,7 @@ def cmd_simulate(args) -> int:
     with open(os.path.join(args.out_dir, "truth.json"), "w") as fh:
         json.dump(
             {
-                "design": {
-                    "n": cfg.n,
-                    "rho": cfg.rho,
-                    "snr": cfg.snr,
-                    "m_min": cfg.m_min,
-                    "m_max": cfg.m_max,
-                    "seed": cfg.seed,
-                    "replicates": cfg.replicates,
-                    "n_test": cfg.n_test,
-                },
+                "design": _design_record(cfg, "n"),
                 "eigenvalues": [float(v) for v in d],
                 "sigma_eps2": noise_variance(d, cfg.snr),
             },
@@ -372,17 +362,8 @@ def cmd_evaluate(args) -> int:
     for i, n in enumerate(n_values):
         for r in range(cfg.replicates):
             try:
-                design = SimDesign(
-                    n=n,
-                    rho=cfg.rho,
-                    snr=cfg.snr,
-                    m_min=cfg.m_min,
-                    m_max=cfg.m_max,
-                    seed=children[i * cfg.replicates + r],
-                    n_test=cfg.n_test,
-                )
                 metrics = replicate_metrics(
-                    design,
+                    _sim_design(cfg, n, children[i * cfg.replicates + r]),
                     settings,
                     grid_size=cfg.grid_size,
                     compare_zero_cross=cfg.compare_zero_cross,
@@ -420,15 +401,7 @@ def cmd_evaluate(args) -> int:
     with open(summary_path, "w") as fh:
         json.dump(
             {
-                "design": {
-                    "rho": cfg.rho,
-                    "snr": cfg.snr,
-                    "m_min": cfg.m_min,
-                    "m_max": cfg.m_max,
-                    "seed": cfg.seed,
-                    "replicates": cfg.replicates,
-                    "n_test": cfg.n_test,
-                },
+                "design": _design_record(cfg),
                 "per_n": per_n,
                 "failures": failures,
             },

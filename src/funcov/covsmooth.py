@@ -92,11 +92,11 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
     if not 0 <= k <= kp < data.n_responses:
         raise FuncovError(f"bad response pair ({k}, {kp})")
     auto = k == kp
-    P, r, m, first = _pooled_residuals(data, means, ws, k)
+    P, r, m, first, v = _pooled_residuals(data, means, ws, k)
     if auto:
         Pp, rp, mp, first_p = P, r, m, first
     else:
-        Pp, rp, mp, first_p = _pooled_residuals(data, means, ws, kp)
+        Pp, rp, mp, first_p, _ = _pooled_residuals(data, means, ws, kp)
     keep = (m > 0) & (mp > 0)
     m, mp, first, first_p = m[keep], mp[keep], first[keep], first_p[keep]
     n_rows = m * mp
@@ -110,11 +110,7 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
     j1, j2 = local % m[subj], local // m[subj]
     i1, i2 = first[subj] + j1, first_p[subj] + j2
     B = (Pp[i2][:, :, None] * P[i1][:, None, :]).reshape(i1.size, ws.c * ws.c)
-    y_var = 0.0
-    if auto:
-        vals = data.response_values(k)
-        if vals.size:
-            y_var = float(np.var(vals))
+    y_var = float(np.var(v)) if auto else 0.0
     return AuxBlock(
         k=k,
         kp=kp,
@@ -127,13 +123,15 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
 
 
 def _pooled_residuals(data, means, ws: SplineWorkspace, k: int):
-    """Basis rows, residuals, per-subject counts and first pooled index of response k."""
+    """Basis rows, residuals, per-subject counts, first pooled index and
+    values of response k."""
     t, v, counts = data.pooled(k)
     return (
         eval_basis_matrix(ws, t),
         v - means[k](t),
         counts,
         np.cumsum(counts) - counts,
+        v,
     )
 
 

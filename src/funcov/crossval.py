@@ -4,8 +4,8 @@ Two tools live here. ``loso_shortcut_error`` is the exact
 leave-one-subject-out squared prediction error of a ridge-type smoother,
 computed from the full fit through the block identity
 ``y_i - yhat_i^{[i]} = (I - S_ii)^{-1} (y_i - S_i y)`` instead of n
-refits; it is the reference and the fallback of the mean smoother's
-selection, which scores its whole tau grid at once through a joint
+refits; it is the test reference for the mean smoother's selection,
+which scores its whole tau grid at once through a joint
 diagonalization (:func:`funcov.mean.loso_curve`). The ``GridSelector``
 evaluates an approximate version of that criterion over a whole grid
 of penalty weights in one pass. It whitens

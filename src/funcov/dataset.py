@@ -94,10 +94,6 @@ class SparseFunctionalDataset:
         hi = max(t.max() for row in self._times for t in row if t.size)
         return float(lo), float(hi)
 
-    def response_values(self, k: int) -> np.ndarray:
-        """All observed values of response k pooled across subjects."""
-        return self.pooled(k)[1]
-
     def pooled(self, k: int):
         """Response k pooled across subjects in subject order.
 

@@ -8,18 +8,15 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._linalg import solve_penalized
-from .crossval import loso_shortcut_error, loso_singular, size_groups
+# loso_shortcut_error stays importable from here: the benchmark's tracer
+# (bench/tracing.py) wraps it under this module's name.
+from .crossval import loso_shortcut_error, loso_singular, size_groups  # noqa: F401
 from .errors import FuncovError, SingularSystemError
 from .splines import SplineWorkspace, eval_basis_matrix
 
 # Log-spaced smoothing grid, scaled so the basis Gram has unit mean diagonal.
 TAU_GRID_SIZE = 31
 TAU_GRID_RANGE = (1e-6, 1e6)
-# The joint basis carries a relative error of about 1e-15 * cond(B'B) into
-# every score (measured on boundary-sparse designs up to cond 1e12). A B'B
-# conditioned worse than 1e6, where that error could pass 1e-9, is scored
-# through the exact per-tau path instead.
-JOINT_RCOND = 1e-6
 
 
 @dataclass
@@ -59,9 +56,11 @@ def fit_mean(data, k: int, ws: SplineWorkspace, tau_grid=None) -> MeanFit:
     The coefficient vector solves ``(B'B + tau D'D) alpha = B'y`` over the
     pooled observations of response k. The smoothing parameter minimizes
     the leave-one-subject-out prediction error, computed with the exact
-    linear-smoother shortcut rather than refits, and aggregated as the
-    plain sum of squared errors over all held-out points (no per-subject
-    reweighting). Ties prefer the larger tau.
+    linear-smoother shortcut rather than refits, over the whole grid at
+    once (:func:`loso_curve`), and aggregated as the plain sum of squared
+    errors over all held-out points (no per-subject reweighting). Ties
+    prefer the larger tau; a grid where every tau is singular raises
+    :class:`SingularSystemError`.
 
     Parameters
     ----------
@@ -115,67 +114,64 @@ def fit_mean(data, k: int, ws: SplineWorkspace, tau_grid=None) -> MeanFit:
 def loso_curve(B, y, slices, G0, DtD, tau_grid) -> np.ndarray:
     """Leave-one-subject-out error of ``(B'B + tau D'D)`` at every tau.
 
-    The pencil is diagonalized once: with ``B'B = L L'`` and
-    ``L^{-1} D'D L^{-T} = V diag(lam) V'``, the smoother at tau is
-    ``Q diag(1 / (1 + tau lam)) Q'`` with ``Q = B L^{-T} V``. Every tau is
-    then a diagonal rescale, and the systems ``(I - S_ii) e_i = r_i`` are
-    solved in one batch per subject size. A ``B'B`` that is not safely
-    positive definite, and any tau whose batched solve fails, take the
-    exact :func:`loso_shortcut_error` path instead; a tau where that fails
-    too scores ``inf``. On either path a tau at which some ``I - S_ii`` is
-    singular to rounding (:func:`funcov.crossval.loso_singular`) scores
-    ``inf``.
+    The stabilized pencil is diagonalized once: with ``B'B + D'D = L L'``,
+    ``L^{-1} D'D L^{-T} = V diag(.) V'`` and ``R = L^{-T} V``, the columns
+    of R diagonalize both B'B and D'D, so the smoother at tau is
+    ``Q diag(1 / (nu + tau mu)) Q'`` with ``Q = B R``. Every tau is then a
+    diagonal rescale, and the systems ``(I - S_ii) e_i = r_i`` are solved
+    in one batch per subject size. A tau scores ``inf`` where
+    ``B'B + tau D'D`` is singular to rounding (some ``nu + tau mu`` is zero
+    once quotients within rounding of zero are zeroed; every tau when
+    ``B'B + D'D`` is not positive definite) or where some ``I - S_ii`` is
+    (:func:`funcov.crossval.loso_singular`).
+    :func:`funcov.crossval.loso_shortcut_error` scores one tau with its own
+    Cholesky factor and is the reference this curve is tested against.
     """
     basis = _joint_basis(B, G0, DtD)
-    groups = size_groups(slices)
-    if basis is not None:
-        try:
-            return _joint_errors(*basis, y, groups, tau_grid)
-        except np.linalg.LinAlgError:
-            pass  # some tau failed; score them one by one to find it
-    return np.array(
-        [_tau_error(basis, B, y, slices, groups, G0 + tau * DtD, tau) for tau in tau_grid]
-    )
-
-
-def _tau_error(basis, B, y, slices, groups, A, tau) -> float:
-    if basis is not None:
-        try:
-            return float(_joint_errors(*basis, y, groups, np.array([tau]))[0])
-        except np.linalg.LinAlgError:
-            pass
-    try:
-        return loso_shortcut_error(B, y, slices, A)
-    except np.linalg.LinAlgError:
-        return np.inf
+    if basis is None:
+        return np.full(len(tau_grid), np.inf)
+    return _joint_errors(*basis, y, size_groups(slices), tau_grid)
 
 
 def _joint_basis(B, G0, DtD):
-    """(Q, lam) diagonalizing the pencil (B'B, D'D), or None.
+    """(Q, nu, mu) diagonalizing the pencil (B'B, D'D), or None.
 
-    None when B'B is singular or conditioned worse than ``1 / JOINT_RCOND``.
+    None when ``B'B + D'D`` is not positive definite: then the two share a
+    null direction and every ``B'B + tau D'D`` is singular.
     """
-    w = np.linalg.eigvalsh(G0)
-    if not w[0] > JOINT_RCOND * w[-1]:
+    try:
+        L = np.linalg.cholesky(G0 + DtD)
+    except np.linalg.LinAlgError:
         return None
-    L = np.linalg.cholesky(G0)
     Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
     M = Linv @ DtD @ Linv.T
-    lam, V = np.linalg.eigh(0.5 * (M + M.T))
-    # D'D annihilates affine coefficient sequences exactly; rounding leaves
-    # their pencil eigenvalues at +-1e-15 relative, which a large tau would
-    # amplify, so numerical zeros are set to the exact zero.
-    lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
-    return B @ (Linv.T @ V), lam
+    R = Linv.T @ np.linalg.eigh(0.5 * (M + M.T))[1]
+    Q = B @ R
+    # Rayleigh quotients r'B'B r and r'D'D r rather than 1 - eig and eig,
+    # which would lose a small nu to cancellation against 1.
+    nu = np.einsum("ij,ij->j", Q, Q)
+    mu = np.einsum("ij,ij->j", R, DtD @ R)
+    # A quotient within rounding of zero (c eps |A| |r|^2 for its matrix A)
+    # is set to the exact zero. D'D annihilates affine coefficient sequences
+    # exactly, and a large tau would amplify their rounding; a direction that
+    # both matrices annihilate then leaves nu + tau mu exactly zero.
+    floor = nu.size * np.finfo(float).eps * np.einsum("ij,ij->j", R, R)
+    nu[nu <= floor * np.linalg.norm(G0, 2)] = 0.0
+    mu[mu <= floor * np.linalg.norm(DtD, 2)] = 0.0
+    return Q, nu, mu
 
 
-def _joint_errors(Q, lam, y, groups, taus) -> np.ndarray:
+def _joint_errors(Q, nu, mu, y, groups, taus) -> np.ndarray:
     """LOSO errors at every tau from the joint basis.
 
-    A tau at which some ``I - S_ii`` is singular to rounding scores inf.
+    A tau at which ``B'B + tau D'D`` or some ``I - S_ii`` is singular to
+    rounding scores inf.
     """
-    c = lam.size
-    delta = 1.0 / (1.0 + taus[:, None] * lam)  # (T, c) smoother spectra
+    c = nu.size
+    spectra = nu + taus[:, None] * mu  # (T, c) of B'B + tau D'D in the basis R
+    singular_pencil = (spectra == 0.0).any(axis=1)
+    spectra[singular_pencil] = 1.0  # keeps the batch finite; those taus score inf
+    delta = 1.0 / spectra  # (T, c) smoother spectra
     fitted = delta * (Q.T @ y)  # (T, c) rotated coefficients
     total = np.zeros(taus.size)
     for rows in groups:
@@ -190,4 +186,5 @@ def _joint_errors(Q, lam, y, groups, taus) -> np.ndarray:
         e = np.linalg.solve(M, resid[..., None])
         total += (e * e).sum(axis=(1, 2, 3))
         total[singular.any(axis=1)] = np.inf
+    total[singular_pencil] = np.inf
     return total

@@ -70,6 +70,14 @@ def _run_indexed(tasks, workers):
     return [t() for t in tasks]
 
 
+def _check_count(name, value, limit=None):
+    """Reject a count setting that is not an integer in [1, limit]."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or value < 1 or (limit is not None and value > limit):
+        bound = ">= 1" if limit is None else f"in [1, {limit}]"
+        raise FuncovError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult:
     """Fit means, covariance blocks and the FPCA of a dataset.
 
@@ -84,9 +92,7 @@ def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult
     """
     settings = settings or FitSettings()
     workers = settings.workers
-    integral = isinstance(workers, (int, np.integer)) and not isinstance(workers, bool)
-    if not integral or workers < 1:
-        raise FuncovError(f"workers must be an integer >= 1, got {workers!r}")
+    _check_count("workers", workers)
     p = data.n_responses
     domain = settings.domain
     if domain is None:
@@ -100,6 +106,9 @@ def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult
         ws_cov = ws_mean
     else:
         ws_cov = build_workspace(domain, settings.n_interior_cov, settings.order)
+    if settings.npc is not None:
+        # the eigensystem has p * c components
+        _check_count("npc", settings.npc, p * ws_cov.c)
 
     means = _run_indexed(
         [

@@ -104,6 +104,22 @@ def test_fit_handles_subject_missing_a_response(tmp_path, capsys):
     assert json.loads(out.out)["npc"] >= 1
 
 
+def test_fit_rejects_npc_past_the_component_count(tmp_path, capsys):
+    train, _ = generate(SimDesign(n=30, rho=0.5, snr=2.0, seed=4, n_test=0))
+    path = tmp_path / "train.csv"
+    train.to_csv(path)
+    code, captured = run_fail(
+        capsys,
+        ["fit", "--data", str(path), "--out", str(tmp_path / "model.json"),
+         "--n-interior-mean", "4", "--n-interior-cov", "4", "--npc", "500"],
+    )
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid"
+    assert "npc must be an integer in [1, 24]" in payload["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+
 def test_fit_simulated_data_reports_full_spectrum(tmp_path, capsys):
     train, _ = generate(SimDesign(n=100, rho=0.9, snr=2.0, seed=17, n_test=0))
     path = tmp_path / "train.csv"

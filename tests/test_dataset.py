@@ -51,7 +51,7 @@ def test_missing_response_is_empty():
     assert ds.m(0, 1) == 0
     t, v = ds.obs(0, 1)
     assert t.size == 0 and v.size == 0
-    np.testing.assert_array_equal(ds.response_values(1), [2.0])
+    np.testing.assert_array_equal(ds.pooled(1)[1], [2.0])
 
 
 def test_time_range_and_iter_rows():

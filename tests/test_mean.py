@@ -145,13 +145,24 @@ def test_empty_response_raises():
 
 
 def test_degenerate_design_all_grid_failures():
-    # every observation at one time and tau = 0: singular at the only grid value
+    # Every observation at one time: B'B has rank 1, and an affine
+    # coefficient sequence vanishing at that time lies in the null space of
+    # both B'B and D'D, so B'B + tau D'D is singular at every tau. Whether
+    # the Cholesky factor of B'B + D'D fails or succeeds by rounding depends
+    # on the design (it fails for the first here and succeeds for the
+    # second); either way no tau may score finite.
     ws = build_workspace((0.0, 1.0), 6, 4)
-    data = funcov.SparseFunctionalDataset.from_long(
-        ["a", "a", "b", "b"], ["y1"] * 4, [0.5] * 4, [1.0, 2.0, 3.0, 4.0]
-    )
-    with pytest.raises(SingularSystemError):
-        fit_mean(data, 0, ws, tau_grid=[0.0])
+    for n, m, t in [(2, 2, 0.5), (5, 3, 0.451)]:
+        subjects = [f"s{i}" for i in range(n) for _ in range(m)]
+        data = funcov.SparseFunctionalDataset.from_long(
+            subjects, ["y1"] * n * m, [t] * n * m, np.arange(1.0, n * m + 1)
+        )
+        B, y, slices, G0, DtD = pooled_design(data, ws)
+        full = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
+        assert np.all(np.isinf(loso_curve(B, y, slices, G0, DtD, full)))
+        for tau_grid in ([0.0], full):
+            with pytest.raises(SingularSystemError):
+                fit_mean(data, 0, ws, tau_grid=tau_grid)
 
 
 def test_tau_grid_validation():
@@ -237,19 +248,19 @@ def boundary_sparse_dataset(edge, inner, seed=0):
 
 
 @pytest.mark.parametrize(
-    "edge, inner, cond_range, batched",
+    "edge, inner, cond_range",
     [
-        (0.01, 0.25, (1e4, 1e5), True),
-        (0.02, 0.3, (1e7, 1e8), False),
-        (0.1, 0.3, (1e8, 1e9), False),
+        (0.01, 0.25, (1e4, 1e5)),
+        (0.02, 0.3, (1e7, 1e8)),
+        (0.1, 0.3, (1e8, 1e9)),
     ],
 )
 def test_ill_conditioned_gram_matches_exact_and_literal_paths(
-    monkeypatch, edge, inner, cond_range, batched
+    monkeypatch, edge, inner, cond_range
 ):
-    # The joint basis loses about cond(B'B) * 1e-15 relative accuracy; past
-    # the cutoff the exact path must score the grid, so the curve stays
-    # within 1e-8 of the exact shortcut and of literal refits either way.
+    # A badly conditioned B'B is still scored from the joint basis of the
+    # stabilized pencil (B'B + D'D, D'D), within 1e-8 of the exact shortcut
+    # and of literal refits.
     ws = build_workspace((0.0, 1.0), 5, 4)
     B, y, slices, G0, DtD = pooled_design(boundary_sparse_dataset(edge, inner), ws)
     w = np.linalg.eigvalsh(G0)
@@ -257,7 +268,7 @@ def test_ill_conditioned_gram_matches_exact_and_literal_paths(
     taus = default_tau_grid(np.trace(G0) / ws.c)
     calls = count_exact_calls(monkeypatch)
     curve = loso_curve(B, y, slices, G0, DtD, taus)
-    assert len(calls) == (0 if batched else taus.size)
+    assert calls == []
     for tau, val in zip(taus, curve):
         exact = loso_shortcut_error(B, y, slices, G0 + tau * DtD)
         literal = oracles.literal_loso(B, y, slices, tau * DtD)
@@ -265,28 +276,28 @@ def test_ill_conditioned_gram_matches_exact_and_literal_paths(
         assert val == pytest.approx(literal, rel=1e-8)
 
 
-def test_loso_point_singular_to_rounding_scores_inf_on_both_paths(monkeypatch):
+def test_loso_point_singular_to_rounding_scores_inf_on_both_paths():
     # At tau = 0 each edge subject alone observes an end basis function, so
     # leaving it out leaves the fit undetermined: I - S_ii is singular to
-    # rounding and both paths score that tau inf rather than a huge number.
+    # rounding and both the curve and the exact shortcut score that tau inf
+    # rather than a huge number.
     ws = build_workspace((0.0, 1.0), 5, 4)
     data = boundary_sparse_dataset(0.01, 0.25)
     B, y, slices, G0, DtD = pooled_design(data, ws)
     taus = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
-    calls = count_exact_calls(monkeypatch)
-    batched = loso_curve(B, y, slices, G0, DtD, taus)
-    assert calls == []
-    monkeypatch.setattr(mean, "JOINT_RCOND", 1.0)  # every B'B takes the exact path
-    exact = loso_curve(B, y, slices, G0, DtD, taus)
-    assert len(calls) == taus.size
-    assert batched[0] == exact[0] == np.inf
-    assert np.all(np.isfinite(batched[1:]))
-    np.testing.assert_allclose(batched[1:], exact[1:], rtol=1e-8)
+    curve = loso_curve(B, y, slices, G0, DtD, taus)
+    exact = np.array([loso_shortcut_error(B, y, slices, G0 + tau * DtD) for tau in taus])
+    assert curve[0] == exact[0] == np.inf
+    assert np.all(np.isfinite(curve[1:]))
+    np.testing.assert_allclose(curve[1:], exact[1:], rtol=1e-8)
     assert fit_mean(data, 0, ws, tau_grid=taus).tau > 0.0
 
 
 def test_singular_gram_takes_the_exact_path(monkeypatch):
-    # four distinct times against c = 10 basis functions: B'B is singular
+    # Four distinct times against c = 10 basis functions: B'B is singular.
+    # The curve scores inf exactly where the exact path's Cholesky factor
+    # or some I - S_ii fails, and elsewhere matches the exact shortcut and
+    # literal refits.
     rng = np.random.default_rng(70)
     ws = build_workspace((0.0, 1.0), 6, 4)
     subjects, times, values = [], [], []
@@ -301,37 +312,21 @@ def test_singular_gram_takes_the_exact_path(monkeypatch):
     grid = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
 
     calls = count_exact_calls(monkeypatch)
-    fit = fit_mean(data, 0, ws, tau_grid=grid)
-    assert len(calls) == grid.size
-    expected = []
-    for tau in grid:
+    curve = fit_mean(data, 0, ws, tau_grid=grid).cv_curve[:, 1]
+    assert calls == []
+    finite = 0
+    for tau, val in zip(grid, curve):
         try:
-            expected.append(loso_shortcut_error(B, y, slices, G0 + tau * DtD))
+            exact = loso_shortcut_error(B, y, slices, G0 + tau * DtD)
         except np.linalg.LinAlgError:
-            expected.append(np.inf)
-    np.testing.assert_array_equal(fit.cv_curve[:, 1], expected)
-
-
-def test_failed_batched_solve_falls_back_for_that_tau_only(monkeypatch):
-    rng = np.random.default_rng(71)
-    ws = build_workspace((0.0, 1.0), 4, 4)
-    data = make_dataset(rng, n=12, p=1, m_range=(1, 5))
-    B, y, slices, G0, DtD = pooled_design(data, ws)
-    taus = np.array([0.01, 0.5, 20.0])
-    batched = loso_curve(B, y, slices, G0, DtD, taus)
-    real = mean._joint_errors
-
-    def singular_at_half(Q, lam, y, groups, grid):
-        if np.any(grid == 0.5):
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real(Q, lam, y, groups, grid)
-
-    monkeypatch.setattr(mean, "_joint_errors", singular_at_half)
-    calls = count_exact_calls(monkeypatch)
-    curve = loso_curve(B, y, slices, G0, DtD, taus)
-    assert len(calls) == 1
-    assert curve[1] == loso_shortcut_error(B, y, slices, G0 + 0.5 * DtD)
-    np.testing.assert_allclose(curve, batched, rtol=1e-12, atol=0)
+            exact = np.inf
+        assert np.isinf(val) == np.isinf(exact)
+        if np.isfinite(exact):
+            finite += 1
+            literal = oracles.literal_loso(B, y, slices, tau * DtD)
+            assert val == pytest.approx(exact, rel=1e-8)
+            assert val == pytest.approx(literal, rel=1e-8)
+    assert curve[0] == np.inf and finite > 0
 
 
 def test_non_finite_tau_is_rejected():

@@ -1,4 +1,4 @@
-"""End-to-end fitting pipeline: the worker pool and its settings."""
+"""End-to-end fitting pipeline: the worker pool and count settings."""
 
 import numpy as np
 import pytest
@@ -19,9 +19,9 @@ def train():
     return data
 
 
-def _settings(workers):
+def _settings(workers, npc=None):
     return FitSettings(
-        n_interior_mean=4, n_interior_cov=4, domain=(0.0, 1.0), workers=workers
+        n_interior_mean=4, n_interior_cov=4, domain=(0.0, 1.0), workers=workers, npc=npc
     )
 
 
@@ -51,3 +51,15 @@ def test_workers_must_be_a_positive_integer(train, workers):
 def test_numpy_integer_workers_accepted(train):
     res = fit_covariance_model(train, _settings(np.int64(2)))
     assert isinstance(res, FitResult)
+
+
+@pytest.mark.parametrize("npc", [0, -2, 25, 500, 1.5, 2.0, True, "2"])
+def test_forced_npc_must_be_a_component_index(train, npc):
+    # p = 3 responses and c = 8 covariance basis functions: 24 components
+    with pytest.raises(FuncovError, match=r"npc must be an integer in \[1, 24\]"):
+        fit_covariance_model(train, _settings(1, npc))
+
+
+def test_forced_npc_up_to_the_component_count_is_kept(train):
+    for npc in (1, np.int64(24)):
+        assert fit_covariance_model(train, _settings(1, npc)).npc == npc
