@@ -9,16 +9,20 @@ problem; the penalty level is chosen by the fast leave-one-subject-out
 criterion in :mod:`funcov.crossval`.
 
 Pairs are enumerated with the second response's index moving slowest, so
-the stacked product vector for a subject is ``kron(r_i^{(k')}, r_i^{(k)})``
-and the design rows are the matching Kronecker products of basis rows.
+a subject's products are ``kron(r'_i, r_i)`` and its design rows
+``X_i = P'_i (x) P_i``, from the two responses' basis rows. These rows are
+never stacked: selection and the solve use the c x c Grams
+``G_i = P_i'P_i`` and ``G'_i``, with ``X_i'X_i = G'_i (x) G_i``, and
+``X_i'C_i = vec(P_i' mat(C_i) P'_i)``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from ._linalg import solve_penalized
 from .crossval import SelectionResult, select_grid
@@ -29,8 +33,6 @@ RHO_GRID_SIZE = 20
 RHO_GRID_RANGE = (1e-4, 1e8)
 W_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 SIGMA2_CLIP_FACTOR = 1e-8
-# Rows per block when gathering the symmetric auto-block design.
-DESIGN_ROW_BLOCK = 256
 
 
 def default_rho_grid() -> np.ndarray:
@@ -40,7 +42,7 @@ def default_rho_grid() -> np.ndarray:
 
 @dataclass
 class AuxBlock:
-    """Stacked residual products and design for one response pair.
+    """Residual products of one response pair and the rows of their design.
 
     Attributes
     ----------
@@ -48,10 +50,13 @@ class AuxBlock:
         Response indices, k <= kp.
     C : ndarray, shape (N,)
         Residual products, subject blocks concatenated.
-    B : ndarray, shape (N, c^2)
-        Tensor-product design rows.
-    Z : ndarray or None
-        Same-point pair indicator column (auto blocks only).
+    P, Pp : ndarray, shapes (n_k, c) and (n_kp, c)
+        Basis rows of responses k and kp at their pooled observation
+        times; one array for an auto block.
+    i1, i2 : ndarray of int, shape (N,)
+        Pooled observation indices of each product's factors: row l of the
+        design is ``kron(Pp[i2[l]], P[i1[l]])``, and in an auto block the
+        same-point pairs are those with ``i1 == i2``.
     slices : list of (start, stop)
         Row range of each contributing subject.
     y_var : float
@@ -62,8 +67,10 @@ class AuxBlock:
     k: int
     kp: int
     C: np.ndarray
-    B: np.ndarray
-    Z: np.ndarray | None
+    P: np.ndarray
+    Pp: np.ndarray
+    i1: np.ndarray
+    i2: np.ndarray
     slices: list
     y_var: float
 
@@ -84,10 +91,10 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
 
     Residuals are the observations minus the fitted means. For each
     subject every (j1, j2) observation pair contributes the product
-    ``r_ij1^{(k)} r_ij2^{(kp)}`` and a design row evaluating the spline
+    ``r_ij1^{(k)} r_ij2^{(kp)}``, whose design row evaluates the spline
     surface at ``(t_ij1^{(k)}, t_ij2^{(kp)})``. Subjects missing either
     response contribute no rows. The basis and the mean are evaluated
-    once per response over its pooled times; every pair row indexes them.
+    once per response over its pooled times; every pair indexes them.
     """
     if not 0 <= k <= kp < data.n_responses:
         raise FuncovError(f"bad response pair ({k}, {kp})")
@@ -107,16 +114,17 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
     # j2 = l // m_i of response kp (the second index moves slowest)
     subj = np.repeat(np.arange(n_rows.size), n_rows)
     local = np.arange(ends[-1]) - (ends - n_rows)[subj]
-    j1, j2 = local % m[subj], local // m[subj]
-    i1, i2 = first[subj] + j1, first_p[subj] + j2
-    B = (Pp[i2][:, :, None] * P[i1][:, None, :]).reshape(i1.size, ws.c * ws.c)
+    i1 = first[subj] + local % m[subj]
+    i2 = first_p[subj] + local // m[subj]
     y_var = float(np.var(v)) if auto else 0.0
     return AuxBlock(
         k=k,
         kp=kp,
         C=rp[i2] * r[i1],
-        B=B,
-        Z=(j1 == j2).astype(float) if auto else None,
+        P=P,
+        Pp=Pp,
+        i1=i1,
+        i2=i2,
         slices=[(int(e - n), int(e)) for e, n in zip(ends, n_rows)],
         y_var=y_var,
     )
@@ -135,87 +143,120 @@ def _pooled_residuals(data, means, ws: SplineWorkspace, k: int):
     )
 
 
-def _auto_design(block: AuxBlock, ws: SplineWorkspace):
-    """Symmetry-constrained design [B Gc, Z] and its penalty.
+def _vec(M):
+    """Column-major vectorization of each matrix in an (n, a, b) stack."""
+    return M.transpose(0, 2, 1).reshape(M.shape[0], -1)
 
-    Column h of ``Gc`` picks one lower-triangle entry (i, j) of the
-    coefficient matrix and its mirror (j, i), so ``B Gc`` adds the two
-    matching columns of B; that gather-add replaces the dense product,
-    with the same result bit for bit.
+
+def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
+    """Normal matrix, per-subject right-hand sides and ``X_i'X_i`` action.
+
+    Returns ``(gram, rhs, apply)`` as :class:`funcov.crossval.GridSelector`
+    takes them. Each subject's basis rows and products are laid out in
+    zero-padded (n, m, c) and (n, m, m') stacks, so the Grams ``G_i``,
+    ``G'_i`` and ``P_i' mat(C_i) P'_i`` are batched products. A cross
+    block's ``X_i'X_i = G'_i (x) G_i`` maps ``vec(T)`` to
+    ``vec(G_i T G'_i)``. An auto block's design is ``[X_i Gc, z_i]`` with
+    the same-point indicator ``z_i``; with ``S = mat(Gc eta)`` its
+    ``X_i'X_i`` maps ``[eta; sigma]`` to
+    ``[Gc'vec(G_i S G_i) + sigma Gc'vec(G_i); <G_i, S> + m_i sigma]``.
     """
-    c = ws.c
-    j, i = np.triu_indices(c)  # column-stacked lower triangle: i >= j
-    lower, upper = j * c + i, i * c + j
-    off = np.flatnonzero(lower != upper)
-    X = np.empty((block.B.shape[0], lower.size + 1))
-    # Gathering columns reads B with a stride of c^2; row blocks that stay
-    # in cache make it about twice as fast as the product (n = 1000).
-    for start in range(0, X.shape[0], DESIGN_ROW_BLOCK):
-        B, Xb = block.B[start : start + DESIGN_ROW_BLOCK], X[start : start + DESIGN_ROW_BLOCK]
-        Xb[:, :-1] = B[:, lower]
-        Xb[:, off] += B[:, upper[off]]
-    X[:, -1] = block.Z
-    q = X.shape[1]
-    Q = np.zeros((q, q))
-    Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
-    return X, Q
+    c, n = ws.c, len(block.slices)
+    starts = np.array([a for a, _ in block.slices])
+    subj = np.repeat(np.arange(n), [b - a for a, b in block.slices])
+    j1 = block.i1 - block.i1[starts][subj]
+    j2 = block.i2 - block.i2[starts][subj]
+    Cm = np.zeros((n, j1.max() + 1, j2.max() + 1))
+    Cm[subj, j1, j2] = block.C
+    # the products with j2 = 0 (j1 = 0) list each observation of k (kp) once
+    P = np.zeros((n, Cm.shape[1], c))
+    P[subj[j2 == 0], j1[j2 == 0]] = block.P[block.i1[j2 == 0]]
+    Pp = np.zeros((n, Cm.shape[2], c))
+    Pp[subj[j1 == 0], j2[j1 == 0]] = block.Pp[block.i2[j1 == 0]]
+    Pt = P.transpose(0, 2, 1)
+    G, Gp = Pt @ P, Pp.transpose(0, 2, 1) @ Pp
+    rhs = _vec(Pt @ Cm @ Pp)
+    # sum_i kron(G'_i, G_i)
+    K = np.einsum("iac,ibd->abcd", Gp, G, optimize=True).reshape(c * c, c * c)
+    if block.k != block.kp:
+        return K, rhs, lambda beta: _vec(G @ beta.reshape(c, c, order="F") @ Gp)
+
+    Gc = ws.Gc
+    m = np.bincount(subj[j2 == 0], minlength=n)
+    Hg = _vec(G) @ Gc  # rows Gc'vec(G_i) = (X_i Gc)'z_i
+    h = Hg.sum(axis=0)
+    gram = np.block([[Gc.T @ K @ Gc, h[:, None]], [h, m.sum()]])
+    rhs = np.column_stack([rhs @ Gc, np.trace(Cm, axis1=1, axis2=2)])
+
+    def apply(beta):
+        eta, sigma = beta[:-1], beta[-1]
+        S = (Gc @ eta).reshape(c, c, order="F")
+        return np.column_stack([_vec(G @ S @ G) @ Gc + sigma * Hg, Hg @ eta + sigma * m])
+
+    return gram, rhs, apply
+
+
+def _auto_penalty(ws: SplineWorkspace):
+    """Penalty of the symmetry-constrained coefficients ``[eta; sigma]``."""
+    return block_diag(ws.Gc.T @ ws.P1 @ ws.Gc, 0.0)
 
 
 def _checked_rho_grid(rho_grid) -> np.ndarray:
     rho_grid = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, float)
-    if rho_grid.size == 0 or np.any(rho_grid < 0):
-        raise FuncovError("rho grid must be nonempty and nonnegative")
+    if rho_grid.size == 0 or not np.all(np.isfinite(rho_grid) & (rho_grid >= 0)):
+        raise FuncovError("rho grid must be nonempty, finite and nonnegative")
     return rho_grid
 
 
-def _select_auto(block: AuxBlock, X, Q, rho_grid) -> SelectionResult:
-    res = select_grid(X, block.C, block.slices, [Q], rho_grid, [(1.0,)])
-    return SelectionResult(res.rho, 0.5, res.score, res.surface, res.gram)
-
-
-def select_smoothing(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None):
+def _select(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid):
     """Grid search of the fast LOSO criterion for one block.
 
     Cross blocks mix the two tensor-product penalties as
     ``rho * (w P1 + (1 - w) P2)`` over the full (rho, w) grid. Auto
     blocks carry the symmetry constraint, under which both penalties
-    coincide, so only rho is searched (reported weight 0.5).
-
-    Returns
-    -------
-    SelectionResult
+    coincide, so only rho is searched (reported weight 0.5). Returns the
+    :class:`SelectionResult` with the block's normal matrix and its
+    right-hand side ``X'C``.
     """
     rho_grid = _checked_rho_grid(rho_grid)
-    if block.k == block.kp:
-        return _select_auto(block, *_auto_design(block, ws), rho_grid)
-    w_grid = W_GRID if w_grid is None else tuple(w_grid)
-    if len(w_grid) == 0 or any(not 0 <= w <= 1 for w in w_grid):
-        raise FuncovError("weight grid must be nonempty with weights in [0, 1]")
-    weights = [(float(w), float(1.0 - w)) for w in w_grid]
-    return select_grid(block.B, block.C, block.slices, [ws.P1, ws.P2], rho_grid, weights)
+    auto = block.k == block.kp
+    if auto:
+        penalties, weights = [_auto_penalty(ws)], [(1.0,)]
+    else:
+        w_grid = W_GRID if w_grid is None else tuple(w_grid)
+        if len(w_grid) == 0 or any(not 0 <= w <= 1 for w in w_grid):
+            raise FuncovError("weight grid must be nonempty with weights in [0, 1]")
+        penalties = [ws.P1, ws.P2]
+        weights = [(float(w), float(1.0 - w)) for w in w_grid]
+    gram, rhs, apply = _block_statistics(block, ws)
+    norm_y2 = float(block.C @ block.C)
+    sel = select_grid(
+        gram, rhs, norm_y2, apply, penalties=penalties, rho_grid=rho_grid, weight_grid=weights
+    )
+    if auto:
+        sel = replace(sel, weight=0.5)
+    return sel, gram, rhs.sum(axis=0)
 
 
 def fit_cross(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None) -> BlockFit:
     """Fit an off-diagonal covariance block.
 
-    Solves ``(B'B + l1 P1 + l2 P2) theta = B'C`` at the selected penalty
+    Solves ``(X'X + l1 P1 + l2 P2) theta = X'C`` at the selected penalty
     level, where ``l1 = rho w`` and ``l2 = rho (1 - w)``.
     """
     if block.k == block.kp:
         raise FuncovError("fit_cross expects an off-diagonal block")
-    sel = select_smoothing(block, ws, rho_grid, w_grid)
+    sel, gram, rhs = _select(block, ws, rho_grid, w_grid)
     lam1 = sel.rho * sel.weight
     lam2 = sel.rho * (1.0 - sel.weight)
-    A = sel.gram + lam1 * ws.P1 + lam2 * ws.P2
     theta_vec = solve_penalized(
-        A,
-        block.B.T @ block.C,
+        gram + lam1 * ws.P1 + lam2 * ws.P2,
+        rhs,
         penalty_is_zero=(lam1 == 0.0 and lam2 == 0.0),
         context=f"cross block ({block.k}, {block.kp})",
     )
-    theta = theta_vec.reshape(ws.c, ws.c, order="F")
     return BlockFit(
-        theta=theta,
+        theta=theta_vec.reshape(ws.c, ws.c, order="F"),
         lambdas=(lam1, lam2),
         sigma2=None,
         sigma2_raw=None,
@@ -234,12 +275,10 @@ def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
     """
     if block.k != block.kp:
         raise FuncovError("fit_auto expects a diagonal block")
-    X, Q = _auto_design(block, ws)
-    sel = _select_auto(block, X, Q, _checked_rho_grid(rho_grid))
-    A = sel.gram + sel.rho * Q
+    sel, gram, rhs = _select(block, ws, rho_grid, None)
     beta = solve_penalized(
-        A,
-        X.T @ block.C,
+        gram + sel.rho * _auto_penalty(ws),
+        rhs,
         penalty_is_zero=(sel.rho == 0.0),
         context=f"auto block {block.k}",
     )

@@ -4,27 +4,22 @@ Two tools live here. ``loso_shortcut_error`` is the exact
 leave-one-subject-out squared prediction error of a ridge-type smoother,
 computed from the full fit through the block identity
 ``y_i - yhat_i^{[i]} = (I - S_ii)^{-1} (y_i - S_i y)`` instead of n
-refits; it is the test reference for the mean smoother's selection,
-which scores its whole tau grid at once through a joint
-diagonalization (:func:`funcov.mean.loso_curve`). The ``GridSelector``
-evaluates an approximate version of that criterion over a whole grid
-of penalty weights in one pass. It whitens
-the design once and eigendecomposes each penalty mixture once; in that
-basis a penalty level ``rho`` enters only through the diagonal
-``d = 1 / (1 + rho s)``, so :meth:`_WeightStage.score_all` prices every
-rho of the grid with one matrix product per subject size: subjects with
-equal row counts are stacked and their per-subject products batched.
-
-The selector works for any design matrix X, response vector y, subject
-row grouping and list of penalty matrices, so the covariance smoother
-uses it both for its unconstrained blocks (two penalties mixed by a
-weight) and for its symmetry-constrained blocks (a single penalty).
+refits; it is the test reference for the mean smoother's selection
+(:func:`funcov.mean.loso_curve`). The ``GridSelector`` evaluates an
+approximate version of that criterion over a grid of penalty weights from
+per-subject sufficient statistics alone: ``X'X``, the ``X_i'y_i``,
+``||y||^2`` and a callable applying every ``X_i'X_i`` to one coefficient
+vector, which the covariance smoother builds from c x c Gram matrices
+(:mod:`funcov.covsmooth`). It whitens ``X'X`` once and eigendecomposes
+each penalty mixture once; in that basis a penalty level ``rho`` enters
+only through the diagonal ``d = 1 / (1 + rho s)``, so each rho costs one
+application of the callable and one (n, q) by (q, q) product.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -123,15 +118,13 @@ class SelectionResult:
     """Outcome of a grid search.
 
     ``surface`` lists (rho, weight, score) in evaluation order; non-finite
-    scores mark skipped grid points. ``gram`` is the design's ``X'X`` as
-    the selector formed it, so the final solve need not form it again.
+    scores mark skipped grid points.
     """
 
     rho: float
     weight: float
     score: float
     surface: list
-    gram: np.ndarray | None = field(default=None, repr=False)
 
 
 class GridSelector:
@@ -140,114 +133,83 @@ class GridSelector:
     The criterion for penalty ``rho * sum_j w_j P_j`` is
     ``||y - S y||^2 + 2 sum_i (S_i y - y_i)' S_ii (S_i y - y_i)``,
     the exact shortcut with ``(I - S_ii)^{-2}`` expanded to first order.
-    Construction whitens the design and stacks the subjects by row
-    count; each call to :meth:`for_weights` eigendecomposes one penalty
-    mixture, and the returned stage prices any set of rho values without
-    touching the raw data again.
+    It takes ``gram = X'X`` (q, q), the (n, q) stack ``rhs`` of ``X_i'y_i``,
+    ``norm_y2 = ||y||^2``, a callable ``apply`` mapping a coefficient
+    vector to the (n, q) stack of ``X_i'X_i beta`` (subjects in the order
+    of ``rhs``) and the penalty matrices. Construction whitens ``X'X``;
+    each call to :meth:`for_weights` eigendecomposes one penalty mixture,
+    and the returned stage prices any set of rho values. Of the inputs
+    only ``apply`` is kept.
     """
 
-    def __init__(self, X, y, slices, penalties):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        q = X.shape[1]
-        self.norm_y2 = float(y @ y)
-        self.gram = X.T @ X
-        Gn = self.gram
+    def __init__(self, gram, rhs, norm_y2, apply, penalties):
+        Gn = np.asarray(gram, dtype=float)
+        q = Gn.shape[0]
         tr = float(np.trace(Gn))
         if tr > 0.0:
             Gn = Gn + (GRAM_RIDGE * tr / q) * np.eye(q)
-        _, E = sym_sqrt_pair(Gn)
-        self._f = E @ (X.T @ y)
-        # whitened rows Xw_i = X_i E and f_i = Xw_i' y_i, one (n_g, m, q)
-        # block per subject size
-        self._Xw, self._Fi = [], []
-        for rows in size_groups(slices):
-            Xw = (X[rows.ravel()] @ E).reshape(*rows.shape, q)
-            self._Xw.append(Xw)
-            self._Fi.append(np.einsum("gmq,gm->gq", Xw, y[rows]))
-        self._Pw = [E @ np.asarray(P, dtype=float) @ E for P in penalties]
+        _, self._E = sym_sqrt_pair(Gn)
+        # whitened right-hand sides f_i = E X_i'y_i, one row per subject
+        self._Fw = np.asarray(rhs, dtype=float) @ self._E
+        self._f = self._Fw.sum(axis=0)
+        self._Pw = [self._E @ np.asarray(P, dtype=float) @ self._E for P in penalties]
+        self.norm_y2 = float(norm_y2)
+        self.apply = apply
 
     def for_weights(self, weights):
         """Diagonalize one penalty mixture; returns a per-weight stage."""
-        M = sum(w * P for w, P in zip(weights, self._Pw))
-        s, U = np.linalg.eigh(M)
-        f_t = U.T @ self._f
-        A = [Fi @ U for Fi in self._Fi]
-        g = f_t**2 - sum((a**2).sum(axis=0) for a in A)
-        return _WeightStage(
-            s=s,
-            U=U,
-            f_t=f_t,
-            g=g,
-            groups=list(zip(self._Xw, A)),
-            norm_y2=self.norm_y2,
-        )
+        s, U = np.linalg.eigh(sum(w * P for w, P in zip(weights, self._Pw)))
+        f_t, a = U.T @ self._f, self._Fw @ U
+        g = f_t**2 - (a * a).sum(axis=0)
+        return _WeightStage(s, self._E @ U, f_t, g, a, self.apply, self.norm_y2)
 
 
 @dataclass
 class _WeightStage:
     """One diagonalized penalty mixture ``E P E = U diag(s) U'``.
 
-    ``groups`` pairs each (n_g, m, q) block of whitened subject rows with
-    the subjects' rotated ``a_i = U' f_i``.
+    ``W = E U`` maps rotated coefficients back to the original ones, and
+    the rows of ``a`` are the subjects' rotated ``U' E X_i'y_i``.
     """
 
     s: np.ndarray
-    U: np.ndarray
+    W: np.ndarray
     f_t: np.ndarray
     g: np.ndarray
-    groups: list
+    a: np.ndarray
+    apply: object
     norm_y2: float
-
-    def score(self, rho):
-        """Criterion value at one penalty level."""
-        return float(self.score_all([rho])[0])
 
     def score_all(self, rhos):
         """Criterion values at every penalty level in ``rhos``.
 
         With ``d = 1 / (1 + rho s)``, ``v = f_t d`` and
-        ``k_i = U' Xw_i' Xw_i U v``, the criterion is
+        ``k_i = W' X_i'X_i W v``, the criterion is
         ``||y||^2 + |v|^2 - 2 d'g - 4 sum_i (d a_i)'k_i + 2 sum_i d'(k_i k_i)``.
-        All rho share one matrix product per subject size; each row of
-        the (|rho|, q) arrays below belongs to one rho.
+        Each rho is priced by itself, with the same operations whatever
+        other rho share the call.
         """
         rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        # A one-column product runs through BLAS gemv, which sums in another
-        # order than gemm; a lone rho is priced twice, so every score is
-        # bit-identical whichever other rho share the call.
-        r = np.repeat(rhos, 2) if rhos.size == 1 else rhos
-        # rho * s may overflow for degenerate whitenings; 1/inf = 0 is the
-        # correct limit, so the overflow is deliberate.
-        with np.errstate(over="ignore"):
-            D = 1.0 / (1.0 + r[:, None] * self.s)
-        V = D * self.f_t
-        Uv = V @ self.U.T
-        sq = np.zeros_like(D)
-        cross = np.zeros_like(D)
-        for Xw, a in self.groups:
-            n_g, m, q = Xw.shape
-            h = (Xw.reshape(-1, q) @ Uv.T).reshape(n_g, m, -1)
-            k = np.matmul(h.transpose(0, 2, 1), Xw).reshape(-1, q) @ self.U
-            k = k.reshape(n_g, -1, q)
-            sq += (k * k).sum(axis=0)
-            cross += (k * a[:, None, :]).sum(axis=0)
-        total = (
-            self.norm_y2
-            + (V * V).sum(axis=1)
-            - 2.0 * (D * self.g).sum(axis=1)
-            + (D * (2.0 * sq - 4.0 * cross)).sum(axis=1)
-        )
-        return total[: rhos.size]
+        out = np.empty(rhos.size)
+        for j, rho in enumerate(rhos):
+            # rho * s may overflow for degenerate whitenings; 1/inf = 0 is
+            # the correct limit, so the overflow is deliberate.
+            with np.errstate(over="ignore"):
+                d = 1.0 / (1.0 + rho * self.s)
+            v = d * self.f_t
+            k = self.apply(self.W @ v) @ self.W
+            corr = 2.0 * np.einsum("iq,iq->q", k, k) - 4.0 * np.einsum("iq,iq->q", k, self.a)
+            out[j] = self.norm_y2 + v @ v - 2.0 * (d @ self.g) + d @ corr
+        return out
 
 
-def select_grid(X, y, slices, penalties, rho_grid, weight_grid):
+def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
     """Minimize the fast criterion over a (weight, rho) grid.
 
     Parameters
     ----------
-    penalties : list of ndarray
-        Penalty matrices combined as ``rho * sum_j w_j P_j``.
+    gram, rhs, norm_y2, apply, penalties
+        The block's statistics, as :class:`GridSelector` takes them.
     rho_grid : sequence of float
         Overall penalty levels.
     weight_grid : sequence of tuple
@@ -259,7 +221,7 @@ def select_grid(X, y, slices, penalties, rho_grid, weight_grid):
     SelectionResult
         Ties are broken toward larger rho, then larger first weight.
     """
-    sel = GridSelector(X, y, slices, penalties)
+    sel = GridSelector(gram, rhs, norm_y2, apply, penalties)
     surface = []
     best = None
     for weights in weight_grid:
@@ -279,6 +241,4 @@ def select_grid(X, y, slices, penalties, rho_grid, weight_grid):
     if best is None:
         raise FloatingPointError("selection criterion was non-finite on the whole grid")
     _, rho, weights, score = best
-    return SelectionResult(
-        rho=rho, weight=weights[0], score=score, surface=surface, gram=sel.gram
-    )
+    return SelectionResult(rho=rho, weight=weights[0], score=score, surface=surface)

@@ -5,6 +5,9 @@ import pytest
 
 import funcov
 from funcov.mean import MeanFit
+from funcov.splines import eval_basis
+
+import oracles
 
 
 def make_dataset(rng, n=10, p=2, m_range=(2, 5), domain=(0.0, 1.0), labels=None):
@@ -32,6 +35,20 @@ def spline_mean(ws, alpha):
 
 def zero_means(ws, p):
     return [spline_mean(ws, np.zeros(ws.c)) for _ in range(p)]
+
+
+def dense_aux(data, means, ws, k, kp):
+    """(C, B, Z, slices) of response pair (k, kp) from the double-loop
+    oracle: the stacked products and the dense design rows."""
+    def residuals(r):
+        obs = [data.obs(i, r) for i in range(data.n_subjects)]
+        return [t for t, _ in obs], [v - means[r](t) for t, v in obs]
+
+    times_k, resid_k = residuals(k)
+    times_kp, resid_kp = residuals(kp)
+    return oracles.aux_double_loop(
+        times_k, resid_k, times_kp, resid_kp, lambda t: eval_basis(ws, t), ws.c, auto=k == kp
+    )
 
 
 def make_psd_model(seed=0, p=2, n_interior=1, order=4, domain=(0.0, 1.0), scale=1.0, sigma2=0.3):

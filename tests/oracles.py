@@ -98,6 +98,31 @@ def aux_double_loop(times_k, resid_k, times_kp, resid_kp, basis, c, auto):
     return C, B, Z, slices
 
 
+def row_statistics(X, y, slices):
+    """Per-subject statistics of a dense stacked design, in the form
+    ``funcov.crossval.GridSelector`` takes them.
+
+    Returns ``(X'X, rhs, ||y||^2, apply)``: ``rhs`` stacks ``X_i'y_i`` over
+    the nonempty subjects in input order, and ``apply`` maps a coefficient
+    vector to the matching stack of ``X_i'(X_i beta)``, computed from the
+    subjects' rows zero-padded to the largest subject.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    blocks = [(start, stop) for start, stop in slices if stop > start]
+    m_max = max(stop - start for start, stop in blocks)
+    Xs = np.zeros((len(blocks), m_max, X.shape[1]))
+    ys = np.zeros((len(blocks), m_max))
+    for i, (start, stop) in enumerate(blocks):
+        Xs[i, : stop - start] = X[start:stop]
+        ys[i, : stop - start] = y[start:stop]
+
+    def apply(beta):
+        return np.einsum("imq,im->iq", Xs, Xs @ beta)
+
+    return X.T @ X, np.einsum("imq,im->iq", Xs, ys), float(y @ y), apply
+
+
 def dense_ridge(B, y, penalty):
     """Generic dense ridge solve of the normal equations."""
     A = B.T @ B + penalty

@@ -31,7 +31,7 @@ from funcov.fpca import eval_covariance, eval_eigenfunction
 from funcov.simulate import true_covariance, true_eigensystem
 
 import oracles
-from conftest import make_dataset, make_psd_model, spline_mean, zero_means
+from conftest import dense_aux, make_dataset, make_psd_model, spline_mean, zero_means
 from test_crossval import random_instance
 
 
@@ -84,7 +84,8 @@ def test_criterion_01_fast_selection_equals_direct_and_is_faster():
         w_grid = [(0.2, 0.8), (0.5, 0.5), (0.8, 0.2)]
         for seed in range(10):
             X, y, slices = random_instance(seed, n=15, m_max=3, q=ws.c**2)
-            res = select_grid(X, y, slices, penalties, rho_grid, w_grid)
+            stats = oracles.row_statistics(X, y, slices)
+            res = select_grid(*stats, penalties, rho_grid, w_grid)
             for rho, weights, val in res.surface:
                 direct = oracles.direct_criterion(
                     X, y, slices, rho * (weights[0] * ws.P1 + weights[1] * ws.P2)
@@ -111,7 +112,8 @@ def test_criterion_01_fast_selection_equals_direct_and_is_faster():
         fast_time = np.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            select_grid(X, y, slices, big_penalties, big_rhos, w_grid)
+            stats = oracles.row_statistics(X, y, slices)
+            select_grid(*stats, big_penalties, big_rhos, w_grid)
             fast_time = min(fast_time, time.perf_counter() - t0)
         t0 = time.perf_counter()
         for rho in big_rhos:
@@ -142,7 +144,8 @@ def test_criterion_03_block_solvers_match_dense_ridge():
         block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
         fit = fit_cross(block, ws, rho_grid=[1.3], w_grid=[0.4])
         lam1, lam2 = fit.lambdas
-        theta_vec = oracles.dense_ridge(block.B, block.C, lam1 * ws.P1 + lam2 * ws.P2)
+        C, B, _, _ = dense_aux(data, zero_means(ws, 2), ws, 0, 1)
+        theta_vec = oracles.dense_ridge(B, C, lam1 * ws.P1 + lam2 * ws.P2)
         np.testing.assert_allclose(
             fit.theta, theta_vec.reshape(ws.c, ws.c, order="F"), rtol=1e-10, atol=1e-12
         )
@@ -151,10 +154,11 @@ def test_criterion_03_block_solvers_match_dense_ridge():
         rho = 4.2
         afit = fit_auto(auto, ws, rho_grid=[rho])
         q = ws.c * (ws.c + 1) // 2
-        X = np.hstack([auto.B @ ws.Gc, auto.Z[:, None]])
+        C, B, Z, _ = dense_aux(data, zero_means(ws, 2), ws, 1, 1)
+        X = np.hstack([B @ ws.Gc, Z[:, None]])
         Q = np.zeros((q + 1, q + 1))
         Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
-        beta = np.linalg.solve(X.T @ X + rho * Q, X.T @ auto.C)
+        beta = np.linalg.solve(X.T @ X + rho * Q, X.T @ C)
         np.testing.assert_allclose(
             afit.theta,
             (ws.Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"),

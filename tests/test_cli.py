@@ -120,6 +120,25 @@ def test_fit_rejects_npc_past_the_component_count(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
 
+@pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+def test_fit_rejects_non_finite_rho_grid(tmp_path, capsys, bad):
+    train, _ = generate(SimDesign(n=30, rho=0.5, snr=2.0, seed=4, n_test=0))
+    path = tmp_path / "train.csv"
+    train.to_csv(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"rho_grid": [%s]}' % bad)
+    code, captured = run_fail(
+        capsys,
+        ["fit", "--data", str(path), "--out", str(tmp_path / "model.json"),
+         "--n-interior-mean", "4", "--n-interior-cov", "4", "--config", str(cfg)],
+    )
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid"
+    assert "rho grid must be nonempty, finite and nonnegative" in payload["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "train.csv"]
+
+
 def test_fit_simulated_data_reports_full_spectrum(tmp_path, capsys):
     train, _ = generate(SimDesign(n=100, rho=0.9, snr=2.0, seed=17, n_test=0))
     path = tmp_path / "train.csv"

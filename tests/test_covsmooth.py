@@ -9,12 +9,12 @@ import pytest
 import funcov
 from funcov import FuncovError, SingularSystemError, build_workspace
 from funcov import covsmooth
-from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross, select_smoothing
+from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross
 from funcov.crossval import GridSelector
 from funcov.splines import eval_basis, eval_basis_matrix
 
 import oracles
-from conftest import make_dataset, spline_mean, zero_means
+from conftest import dense_aux, make_dataset, spline_mean, zero_means
 
 
 def residual_dataset(seed, n=6, p=2, m_range=(2, 4)):
@@ -22,6 +22,19 @@ def residual_dataset(seed, n=6, p=2, m_range=(2, 4)):
     rng = np.random.default_rng(seed)
     data = make_dataset(rng, n=n, p=p, m_range=m_range)
     return data
+
+
+def select_smoothing(block, ws, rho_grid=None, w_grid=None):
+    """The block's grid selection, as its fit records it."""
+    if block.k == block.kp:
+        return fit_auto(block, ws, rho_grid).selection
+    return fit_cross(block, ws, rho_grid, w_grid).selection
+
+
+def design_rows(block):
+    """The block's design rows kron(Pp[i2], P[i1]), materialized."""
+    rows = block.Pp[block.i2][:, :, None] * block.P[block.i1][:, None, :]
+    return rows.reshape(block.C.size, -1)
 
 
 def test_row_count_two_by_three():
@@ -33,10 +46,9 @@ def test_row_count_two_by_three():
         [1.0, 2.0, 3.0, 4.0, 5.0],
     )
     block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
-    assert block.C.shape == (6,)
-    assert block.B.shape == (6, ws.c**2)
+    assert block.C.shape == block.i1.shape == block.i2.shape == (6,)
+    assert block.P.shape == (2, ws.c) and block.Pp.shape == (3, ws.c)
     assert block.slices == [(0, 6)]
-    assert block.Z is None
 
 
 def test_products_match_double_loop_oracle():
@@ -55,7 +67,7 @@ def test_products_match_double_loop_oracle():
         times_k, resid_k, times_kp, resid_kp, basis, ws.c, auto=False
     )
     np.testing.assert_array_equal(block.C, C)
-    np.testing.assert_allclose(block.B, B, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(design_rows(block), B, rtol=0, atol=1e-15)
     assert block.slices == slices
 
     auto = build_aux(data, means, ws, 0, 0)
@@ -63,8 +75,8 @@ def test_products_match_double_loop_oracle():
         times_k, resid_k, None, None, basis, ws.c, auto=True
     )
     np.testing.assert_array_equal(auto.C, C_a)
-    np.testing.assert_allclose(auto.B, B_a, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(auto.Z, Z_a)
+    np.testing.assert_allclose(design_rows(auto), B_a, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(auto.i1 == auto.i2, Z_a)
     assert auto.slices == slices_a
 
 
@@ -105,7 +117,7 @@ def test_hand_enumerated_ordering():
     surf = lambda s, t: eval_basis(ws, s) @ theta @ eval_basis(ws, t)
     expect = [surf(s, t) for t in (0.1, 0.5, 0.9) for s in (0.2, 0.8)]
     np.testing.assert_allclose(
-        block.B @ theta.ravel(order="F"), expect, rtol=0, atol=1e-12
+        design_rows(block) @ theta.ravel(order="F"), expect, rtol=0, atol=1e-12
     )
 
 
@@ -157,13 +169,12 @@ def test_cross_unpenalized_square_interpolation():
         list(rng.standard_normal(8)),
     )
     block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
-    assert block.B.shape == (16, 16)
+    C, B, _, _ = dense_aux(data, zero_means(ws, 2), ws, 0, 1)
+    assert B.shape == (16, 16)
     fit = fit_cross(block, ws, rho_grid=[0.0], w_grid=[0.5])
-    theta_direct = np.linalg.solve(block.B, block.C).reshape(ws.c, ws.c, order="F")
+    theta_direct = np.linalg.solve(B, C).reshape(ws.c, ws.c, order="F")
     np.testing.assert_allclose(fit.theta, theta_direct, rtol=1e-8)
-    np.testing.assert_allclose(
-        block.B @ fit.theta.ravel(order="F"), block.C, rtol=0, atol=1e-8
-    )
+    np.testing.assert_allclose(B @ fit.theta.ravel(order="F"), C, rtol=0, atol=1e-8)
 
 
 def test_cross_zero_penalty_singular_raises():
@@ -180,12 +191,13 @@ def test_cross_matches_dense_ridge():
     ws = build_workspace((0.0, 1.0), 1, 4)  # c = 5
     data = residual_dataset(12, n=20, p=2, m_range=(3, 4))
     block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
+    C, B, _, _ = dense_aux(data, zero_means(ws, 2), ws, 0, 1)
 
     # pinned penalty level
     fit = fit_cross(block, ws, rho_grid=[3.7], w_grid=[0.3])
     lam1, lam2 = fit.lambdas
     assert (lam1, lam2) == (pytest.approx(3.7 * 0.3), pytest.approx(3.7 * 0.7))
-    theta_vec = oracles.dense_ridge(block.B, block.C, lam1 * ws.P1 + lam2 * ws.P2)
+    theta_vec = oracles.dense_ridge(B, C, lam1 * ws.P1 + lam2 * ws.P2)
     np.testing.assert_allclose(
         fit.theta, theta_vec.reshape(ws.c, ws.c, order="F"), rtol=1e-10, atol=1e-12
     )
@@ -195,7 +207,7 @@ def test_cross_matches_dense_ridge():
     # the system's conditioning limits agreement between correct solvers)
     fit_d = fit_cross(block, ws)
     lam1, lam2 = fit_d.lambdas
-    theta_vec = oracles.dense_ridge(block.B, block.C, lam1 * ws.P1 + lam2 * ws.P2)
+    theta_vec = oracles.dense_ridge(B, C, lam1 * ws.P1 + lam2 * ws.P2)
     np.testing.assert_allclose(
         fit_d.theta, theta_vec.reshape(ws.c, ws.c, order="F"), rtol=1e-6, atol=1e-12
     )
@@ -209,10 +221,11 @@ def test_auto_matches_dense_solve():
     rho = 2.5
     fit = fit_auto(block, ws, rho_grid=[rho])
     q = ws.c * (ws.c + 1) // 2
-    X = np.hstack([block.B @ ws.Gc, block.Z[:, None]])
+    C, B, Z, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
+    X = np.hstack([B @ ws.Gc, Z[:, None]])
     Q = np.zeros((q + 1, q + 1))
     Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
-    beta = np.linalg.solve(X.T @ X + rho * Q, X.T @ block.C)
+    beta = np.linalg.solve(X.T @ X + rho * Q, X.T @ C)
     np.testing.assert_allclose(
         fit.theta,
         (ws.Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"),
@@ -224,18 +237,31 @@ def test_auto_matches_dense_solve():
     np.testing.assert_array_equal(fit.theta, fit.theta.T)
 
 
-def test_auto_design_and_gram_match_the_duplication_product():
-    # enough rows for several row blocks of the gather, one of them partial
+@pytest.mark.parametrize("pair", [(0, 1), (0, 0)], ids=["cross", "auto"])
+def test_block_statistics_match_the_dense_design(pair):
+    # gram, right-hand sides and X_i'X_i action against the oracle's rows;
+    # unequal subject sizes, so the zero padding is exercised
     ws = build_workspace((0.0, 1.0), 2, 4)
-    data = residual_dataset(14, n=60, p=1, m_range=(3, 5))
-    block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
-    assert block.B.shape[0] > 2 * covsmooth.DESIGN_ROW_BLOCK
-    X, _ = covsmooth._auto_design(block, ws)
-    dense = np.hstack([block.B @ ws.Gc, block.Z[:, None]])
-    np.testing.assert_array_equal(X, dense)
-    np.testing.assert_array_equal(select_smoothing(block, ws).gram, dense.T @ dense)
-    cross = build_aux(residual_dataset(15, n=8, p=2), zero_means(ws, 2), ws, 0, 1)
-    np.testing.assert_array_equal(select_smoothing(cross, ws).gram, cross.B.T @ cross.B)
+    data = residual_dataset(14, n=25, p=2, m_range=(1, 5))
+    block = build_aux(data, zero_means(ws, 2), ws, *pair)
+    gram, rhs, apply = covsmooth._block_statistics(block, ws)
+    C, B, Z, slices = dense_aux(data, zero_means(ws, 2), ws, *pair)
+    X = B if Z is None else np.hstack([B @ ws.Gc, Z[:, None]])
+    beta = np.random.default_rng(14).standard_normal(X.shape[1])
+    expect_rhs, expect_apply = [], []
+    for start, stop in slices:
+        Xi = X[start:stop]
+        expect_rhs.append(Xi.T @ C[start:stop])
+        expect_apply.append(Xi.T @ (Xi @ beta))
+
+    def assert_close(actual, expected):
+        assert actual.shape == expected.shape
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    assert_close(gram, X.T @ X)
+    assert_close(rhs.sum(axis=0), X.T @ C)
+    assert_close(rhs, np.array(expect_rhs))
+    assert_close(apply(beta), np.array(expect_apply))
 
 
 def test_auto_recovers_exact_surface():
@@ -247,7 +273,8 @@ def test_auto_recovers_exact_surface():
     theta_true = A0 @ A0.T
     data = residual_dataset(31, n=20, p=1, m_range=(3, 3))
     block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
-    exact = block.B @ theta_true.ravel(order="F")
+    _, B, _, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
+    exact = B @ theta_true.ravel(order="F")
     block = replace(block, C=exact)
 
     fit = fit_auto(block, ws, rho_grid=[1e-10])
@@ -263,19 +290,19 @@ def test_auto_sigma2_from_same_point_indicator():
     v = 1.7
     data = residual_dataset(17, n=10, p=1, m_range=(3, 3))
     block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
-    C = np.where(block.Z > 0, v, 0.0)
+    _, B, Z, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
+    C = np.where(Z > 0, v, 0.0)
     block = replace(block, C=C)
     fit = fit_auto(block, ws, rho_grid=[1e8])
 
     # independent check: least squares on [null-space surface columns, Z];
     # the null space of the symmetric penalty spans 1, g(s)+g(t), g(s)g(t)
-    B = block.B
     idx = np.arange(ws.c, dtype=float)
     ones_vec = np.ones(ws.c)
     col_const = B @ np.outer(ones_vec, ones_vec).ravel(order="F")
     col_sum = B @ (np.outer(idx, ones_vec) + np.outer(ones_vec, idx)).ravel(order="F")
     col_prod = B @ np.outer(idx, idx).ravel(order="F")
-    design = np.column_stack([col_const, col_sum, col_prod, block.Z])
+    design = np.column_stack([col_const, col_sum, col_prod, Z])
     coef, *_ = np.linalg.lstsq(design, C, rcond=None)
     assert fit.sigma2 == pytest.approx(float(coef[-1]), rel=1e-4)
     assert fit.sigma2 == pytest.approx(v, rel=1e-3)
@@ -286,22 +313,34 @@ def test_sigma2_negative_estimate_clipped_with_warning():
     v = 0.9
     data = residual_dataset(23, n=10, p=1, m_range=(3, 3))
     block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
-    block = replace(block, C=np.where(block.Z > 0, -v, 0.0), y_var=2.0)
+    _, _, Z, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
+    block = replace(block, C=np.where(Z > 0, -v, 0.0), y_var=2.0)
     with pytest.warns(RuntimeWarning, match="negative noise variance"):
         fit = fit_auto(block, ws, rho_grid=[1e8])
     assert fit.sigma2_raw < 0
     assert fit.sigma2 == pytest.approx(1e-8 * 2.0)
 
 
-def test_selection_surface_matches_direct_formula():
-    # block-level version of the fast-vs-direct identity, n=15, m=3, c=4
+@pytest.mark.parametrize("pair", [(0, 1), (0, 0)], ids=["cross", "auto"])
+def test_selection_surface_matches_direct_formula(pair):
+    # block-level version of the fast-vs-direct identity, n=15, m=3, c=4;
+    # an auto block is priced on its constrained design [B Gc, Z]
     ws = build_workspace((0.0, 1.0), 1, 3)  # c = 4
     data = residual_dataset(2, n=15, p=2, m_range=(3, 3))
-    block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
+    block = build_aux(data, zero_means(ws, 2), ws, *pair)
     sel = select_smoothing(block, ws, rho_grid=[1e-2, 1.0, 1e3], w_grid=[0.3, 0.7])
+    C, B, Z, slices = dense_aux(data, zero_means(ws, 2), ws, *pair)
+    if Z is None:
+        X, penalties = B, [ws.P1, ws.P2]
+    else:
+        X = np.hstack([B @ ws.Gc, Z[:, None]])
+        Q = np.zeros((X.shape[1], X.shape[1]))
+        Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
+        penalties = [Q]
+    assert len(sel.surface) == (6 if Z is None else 3)
     for rho, weights, val in sel.surface:
-        penalty = rho * (weights[0] * ws.P1 + weights[1] * ws.P2)
-        direct = oracles.direct_criterion(block.B, block.C, block.slices, penalty)
+        penalty = rho * sum(w * P for w, P in zip(weights, penalties))
+        direct = oracles.direct_criterion(X, C, slices, penalty)
         assert val == pytest.approx(direct, rel=1e-8)
 
 
@@ -349,6 +388,9 @@ def test_grid_validation():
         select_smoothing(block, ws, rho_grid=[])
     with pytest.raises(FuncovError):
         select_smoothing(block, ws, rho_grid=[-1.0])
+    for bad in ([np.nan], [np.inf], [1.0, np.inf]):
+        with pytest.raises(FuncovError, match="finite"):
+            select_smoothing(block, ws, rho_grid=bad)
     with pytest.raises(FuncovError):
         select_smoothing(block, ws, rho_grid=[1.0], w_grid=[1.5])
     with pytest.raises(FuncovError):
@@ -373,7 +415,8 @@ def test_selection_cost_scales_linearly_in_subjects():
     # eigendecomposition cost the same at any n and would dilute the ratio.
     # Small and big runs alternate, so a slow spell of the host hits both.
     def stage(X, y, slices):
-        return GridSelector(X, y, slices, P).for_weights((1.0,))
+        stats = oracles.row_statistics(X, y, slices)
+        return GridSelector(*stats, P).for_weights((1.0,))
 
     def run_once(st):
         t0 = time.perf_counter()

@@ -17,6 +17,17 @@ from funcov.crossval import (
 import oracles
 
 
+def dense_select(X, y, slices, penalties, rho_grid, weight_grid):
+    """select_grid on the statistics of a dense stacked design."""
+    return select_grid(
+        *oracles.row_statistics(X, y, slices), penalties, rho_grid, weight_grid
+    )
+
+
+def dense_selector(X, y, slices, penalties):
+    return GridSelector(*oracles.row_statistics(X, y, slices), penalties)
+
+
 def random_instance(seed, n=12, m_max=3, q=16, scale=1.0):
     """Random stacked design with one contiguous row block per subject."""
     rng = np.random.default_rng(seed)
@@ -53,7 +64,7 @@ def test_fast_criterion_matches_direct_formula():
     weight_grid = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
     for seed in (0, 1):
         X, y, slices = random_instance(seed, n=15, m_max=3, q=16)
-        res = select_grid(X, y, slices, penalties, rho_grid, weight_grid)
+        res = dense_select(X, y, slices, penalties, rho_grid, weight_grid)
         for rho, weights, val in res.surface:
             penalty = rho * (weights[0] * ws.P1 + weights[1] * ws.P2)
             direct = oracles.direct_criterion(X, y, slices, penalty)
@@ -61,18 +72,20 @@ def test_fast_criterion_matches_direct_formula():
 
 
 def test_stage_scores_without_raw_data():
-    # after construction the selector must not touch X or y again
+    # after construction the selector keeps only the X_i'X_i action: the
+    # raw data and the gram and right-hand sides it was given may change
     X, y, slices = random_instance(7, q=8)
     P = np.eye(8)
-    sel = GridSelector(X, y, slices, [P])
+    gram, rhs, norm_y2, apply = oracles.row_statistics(X, y, slices)
+    sel = GridSelector(gram, rhs, norm_y2, apply, [P])
     stage = sel.for_weights((1.0,))
-    before = [stage.score(r) for r in (0.1, 1.0, 50.0)]
-    X[:] = np.nan
-    y[:] = np.nan
+    before = list(stage.score_all([0.1, 1.0, 50.0]))
+    for a in (X, y, gram, rhs):
+        a[:] = np.nan
     stage2 = sel.for_weights((1.0,))
-    after = [stage2.score(r) for r in (0.1, 1.0, 50.0)]
+    after = list(stage2.score_all([0.1, 1.0, 50.0]))
     assert before == after
-    assert stage.score(1.0) == before[1]
+    assert stage.score_all([1.0])[0] == before[1]
 
 
 def test_subject_permutation_invariance():
@@ -80,7 +93,7 @@ def test_subject_permutation_invariance():
     X, y, slices = random_instance(3, n=10, m_max=3, q=9)
     P = [np.eye(9)]
     rho_grid = [0.01, 1.0, 100.0]
-    res_a = select_grid(X, y, slices, P, rho_grid, [(1.0,)])
+    res_a = dense_select(X, y, slices, P, rho_grid, [(1.0,)])
 
     perm = rng.permutation(len(slices))
     X_rows = [X[s:e] for s, e in slices]
@@ -92,7 +105,7 @@ def test_subject_permutation_invariance():
         n_rows = slices[j][1] - slices[j][0]
         slices_p.append((pos, pos + n_rows))
         pos += n_rows
-    res_b = select_grid(Xp, yp, slices_p, P, rho_grid, [(1.0,)])
+    res_b = dense_select(Xp, yp, slices_p, P, rho_grid, [(1.0,)])
 
     assert res_a.rho == res_b.rho
     for (r1, w1, v1), (r2, w2, v2) in zip(res_a.surface, res_b.surface):
@@ -106,10 +119,9 @@ def test_all_zero_design_collapses_to_norm_y2():
     y = rng.standard_normal(12)
     X = np.zeros((12, 5))
     slices = [(0, 4), (4, 8), (8, 12)]
-    sel = GridSelector(X, y, slices, [np.eye(5)])
-    stage = sel.for_weights((1.0,))
-    for rho in (0.0, 1.0, 1e6):
-        assert stage.score(rho) == pytest.approx(float(y @ y), rel=1e-12)
+    stage = dense_selector(X, y, slices, [np.eye(5)]).for_weights((1.0,))
+    for val in stage.score_all([0.0, 1.0, 1e6]):
+        assert val == pytest.approx(float(y @ y), rel=1e-12)
 
 
 def test_zeroed_subject_contributes_no_correction():
@@ -118,7 +130,7 @@ def test_zeroed_subject_contributes_no_correction():
     X, y, slices = random_instance(5, n=6, m_max=2, q=6)
     X[slices[2][0] : slices[2][1]] = 0.0
     penalty = 0.7 * np.eye(6)
-    res = select_grid(X, y, slices, [np.eye(6)], [0.7], [(1.0,)])
+    res = dense_select(X, y, slices, [np.eye(6)], [0.7], [(1.0,)])
 
     q = X.shape[1]
     Gn = X.T @ X
@@ -139,11 +151,11 @@ def test_non_finite_scores_warn_and_skip():
     X, y, slices = random_instance(9, q=5)
     P = [np.eye(5)]
     with pytest.warns(RuntimeWarning, match="non-finite"):
-        res = select_grid(X, y, slices, P, [np.nan, 2.0], [(1.0,)])
+        res = dense_select(X, y, slices, P, [np.nan, 2.0], [(1.0,)])
     assert res.rho == 2.0
     with pytest.warns(RuntimeWarning):
         with pytest.raises(FloatingPointError):
-            select_grid(X, y, slices, P, [np.nan], [(1.0,)])
+            dense_select(X, y, slices, P, [np.nan], [(1.0,)])
 
 
 def test_ties_break_toward_larger_rho_then_weight():
@@ -152,7 +164,7 @@ def test_ties_break_toward_larger_rho_then_weight():
     y = np.zeros(X.shape[0])
     ws = build_workspace((0.0, 1.0), 3, 3)  # unused sizes, just two penalties
     P = [np.eye(6), 2.0 * np.eye(6)]
-    res = select_grid(
+    res = dense_select(
         X, y, slices, P, [0.1, 1.0, 10.0], [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
     )
     assert res.score == 0.0
@@ -168,8 +180,8 @@ def test_empty_slices_are_ignored():
         padded.append((s, e))
     A = X.T @ X + 0.3 * np.eye(6)
     assert loso_shortcut_error(X, y, padded, A) == loso_shortcut_error(X, y, slices, A)
-    r1 = select_grid(X, y, padded, [np.eye(6)], [1.0], [(1.0,)])
-    r2 = select_grid(X, y, slices, [np.eye(6)], [1.0], [(1.0,)])
+    r1 = dense_select(X, y, padded, [np.eye(6)], [1.0], [(1.0,)])
+    r2 = dense_select(X, y, slices, [np.eye(6)], [1.0], [(1.0,)])
     assert r1.score == r2.score
 
 
@@ -184,7 +196,7 @@ def test_score_all_matches_direct_formula_and_single_points():
     P = 1e12 * (A0 @ A0.T + np.eye(9))
     # the last rho overflows rho * s, so d = 0 and the criterion is ||y||^2
     rho_grid = np.array([0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e300])
-    stage = GridSelector(X, y, padded, [P]).for_weights((1.0,))
+    stage = dense_selector(X, y, padded, [P]).for_weights((1.0,))
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             rho_grid[-1] * stage.s
@@ -195,7 +207,7 @@ def test_score_all_matches_direct_formula_and_single_points():
     assert vals[-1] == float(y @ y)
     # a grid point scores the same, bit for bit, alone or with the grid
     for rho, val in zip(rho_grid, vals):
-        assert stage.score(rho) == val
+        assert stage.score_all([rho])[0] == val
     np.testing.assert_array_equal(stage.score_all(rho_grid[::-1]), vals[::-1])
 
     perm = rng.permutation(len(slices))
@@ -203,7 +215,7 @@ def test_score_all_matches_direct_formula_and_single_points():
     yp = np.concatenate([y[slices[j][0] : slices[j][1]] for j in perm])
     ends = np.cumsum([slices[j][1] - slices[j][0] for j in perm])
     slices_p = [(int(e - (slices[j][1] - slices[j][0])), int(e)) for e, j in zip(ends, perm)]
-    vals_p = GridSelector(Xp, yp, slices_p, [P]).for_weights((1.0,)).score_all(rho_grid)
+    vals_p = dense_selector(Xp, yp, slices_p, [P]).for_weights((1.0,)).score_all(rho_grid)
     np.testing.assert_allclose(vals_p, vals, rtol=1e-12, atol=0)
 
 
