@@ -10,11 +10,17 @@ One batched path serves every caller. With the stacked coefficients
 ``Theta``, a subject's observed design ``B_o`` (block diagonal by
 response) and ``V = B_o Theta B_o' + diag(sigma^2)``, the prediction at
 new points with design ``B_new`` is ``mu + B_new Theta z`` with
-``z = B_o' V^{-1} r``. The basis, the means and ``M_new = B_new Theta``
-are evaluated once per call; per subject only the products that involve
-its own observations are formed, with one Cholesky factorization of its
-``V``. This is the exact conditional expectation, reassociated, for any
-symmetric ``Theta``, refined or not.
+``z = B_o' V^{-1} r``. This is the exact conditional expectation,
+reassociated, for any symmetric ``Theta``, refined or not.
+
+Once per call: each distinct workspace's basis at the observation times
+and at the grid (a mean on the model's own workspace reuses the model's
+basis rather than evaluating it again), the means at the grid,
+``M_new = B_new Theta`` and the prior variance. Per subject only the
+products that involve its own observations are formed, with one Cholesky
+factorization of its ``V`` through LAPACK's ``dpotrf`` and solves through
+``dpotrs``, the routines ``scipy.linalg.cho_factor`` and ``cho_solve``
+wrap, called directly.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.stats import norm
 
 from .errors import FuncovError
@@ -259,20 +265,19 @@ def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction
     t_obs, resp = t_pool[order], resp[order]
     y_obs = np.concatenate([v for _, v, _ in pooled])[order]
     noise = model.sigma2[resp]
-    B_obs = eval_basis_matrix(model.ws, t_obs)
     # Each mean is evaluated as MeanFit does, basis times coefficients, but
     # the product is taken per subject: a matrix-vector product's rounding
     # depends on the row's position in the array.
-    B_mean = [eval_basis_matrix(mean.ws, t_obs) for mean in model.means]
+    B_obs, B_mean = _bases(model, t_obs)
     Bo = np.zeros((t_obs.size, pc))  # block-diagonal observed design
     Bo[np.arange(t_obs.size)[:, None], (resp * c)[:, None] + np.arange(c)] = B_obs
 
     var = cov = None
     if times is not None:
         m = times.size
-        Bn = eval_basis_matrix(model.ws, times)
+        Bn, Bn_mean = _bases(model, times)
         M_new = _new_design(Bn, Theta, p)
-        mu_new = np.vstack([mean(times) for mean in model.means])
+        mu_new = np.vstack([B @ mean.alpha for B, mean in zip(Bn_mean, model.means)])
         xhat = np.empty((n, p, m))
         if bands:
             prior_diag = _prior_diag(M_new, Bn, p)
@@ -288,18 +293,19 @@ def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction
     jitter = np.zeros(n)
 
     for i in range(n):
-        rows = slice(ends[i] - counts[i], ends[i])
-        Bo_i = Bo[rows]
+        m_i = counts[i]
+        rows = slice(ends[i] - m_i, ends[i])
+        B_i, Bo_i = B_obs[rows], Bo[rows]
         # every response's mean at each of the subject's times
         mu_i = np.array([B[rows] @ mean.alpha for B, mean in zip(B_mean, model.means)])
         factor = None
         z = np.zeros(pc)
-        if counts[i]:
+        if m_i:
             V = Bo_i @ Theta @ Bo_i.T
-            V[np.diag_indices_from(V)] += noise[rows]
+            V.flat[:: m_i + 1] += noise[rows]
             cf, jitter[i] = _factor(V)
-            resid = y_obs[rows] - mu_i[resp[rows], np.arange(counts[i])]
-            z = Bo_i.T @ cho_solve(cf, resid, check_finite=False)
+            resid = y_obs[rows] - mu_i[resp[rows], np.arange(m_i)]
+            z = Bo_i.T @ dpotrs(cf, resid)[0]
             factor = (cf, Bo_i)
             scores[i] = to_scores @ z
         if times is not None:
@@ -310,13 +316,13 @@ def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction
                 C = prior if cross is None else prior - cross @ G
                 cov[i] = 0.5 * (C + C.T)
                 np.fill_diagonal(cov[i], var[i])  # the band's variance, exactly
-        elif counts[i]:
+        elif m_i:
             cols = order[rows]
-            xhat[:, cols] = mu_i + (B_obs[rows] @ (Theta @ z).reshape(p, c).T).T
+            xhat[:, cols] = mu_i + (B_i @ (Theta @ z).reshape(p, c).T).T
             if bands:
-                M_i = _new_design(B_obs[rows], Theta, p)
-                var_i, _, _ = _conditional(M_i, _prior_diag(M_i, B_obs[rows], p), factor)
-                var[:, cols] = var_i.reshape(p, counts[i])
+                M_i = _new_design(B_i, Theta, p)
+                var_i, _, _ = _conditional(M_i, _prior_diag(M_i, B_i, p), factor)
+                var[:, cols] = var_i.reshape(p, m_i)
 
     lower = upper = None
     if bands:
@@ -335,17 +341,27 @@ def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction
     )
 
 
+def _bases(model, t):
+    """The model's basis at ``t`` and each mean's, one evaluation per
+    distinct workspace object; returns ``(B, [B_mean_k])``."""
+    evaluated = {}
+    for ws in [model.ws] + [mean.ws for mean in model.means]:
+        if id(ws) not in evaluated:
+            evaluated[id(ws)] = eval_basis_matrix(ws, t)
+    return evaluated[id(model.ws)], [evaluated[id(mean.ws)] for mean in model.means]
+
+
 def _factor(V):
-    """Cholesky factor of V, jittered once if needed; returns (factor, jitter)."""
-    try:
-        return cho_factor(V, check_finite=False), 0.0
-    except (LinAlgError, np.linalg.LinAlgError):
-        pass
+    """Upper Cholesky factor of V, jittered once if needed; returns
+    (factor, jitter). V itself is left unchanged."""
+    cf, info = dpotrf(V, clean=0)
+    if info == 0:
+        return cf, 0.0
     jitter = V_JITTER * float(np.trace(V)) / V.shape[0]
-    try:
-        return cho_factor(V + jitter * np.eye(V.shape[0]), check_finite=False), jitter
-    except (LinAlgError, np.linalg.LinAlgError):
-        raise FuncovError("observation covariance is singular even after jitter") from None
+    cf, info = dpotrf(V + jitter * np.eye(V.shape[0]), clean=0)
+    if info:
+        raise FuncovError("observation covariance is singular even after jitter")
+    return cf, jitter
 
 
 def _new_design(Bn, Theta, p):
@@ -371,5 +387,5 @@ def _conditional(M_new, prior_diag, factor):
         return prior_diag, None, None
     cf, Bo_i = factor
     cross = M_new @ Bo_i.T  # (pm, m_i)
-    G = cho_solve(cf, cross.T, check_finite=False)  # (m_i, pm)
+    G = dpotrs(cf, cross.T)[0]  # (m_i, pm)
     return prior_diag - (cross.T * G).sum(axis=0), cross, G

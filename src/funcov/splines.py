@@ -10,6 +10,14 @@ vectorization.
 Times are mapped affinely onto [0, 1] before basis evaluation; the Gram
 matrix is expressed in original time units so inner products, eigenvalues
 and scores keep the units of the data.
+
+Each workspace builds one basis evaluator, a :class:`BSpline` whose
+coefficients are the identity, so column j of its value is basis function
+j. The design matrices of all stages go through it, and the Gram
+quadrature uses an identical one. Its values are bit-identical to
+``BSpline.design_matrix(u, knots, order - 1).toarray()``: each entry is one
+de Boor value times 1.0 plus exact zeros, without the sparse matrix the
+design-matrix route builds and densifies on every call.
 """
 
 from __future__ import annotations
@@ -88,6 +96,9 @@ class SplineWorkspace:
         Symmetric square root of G and its inverse.
     Gc : ndarray
         Duplication matrix of shape (c^2, c(c+1)/2).
+
+    The basis evaluator on [0, 1] is built once, from the unit knots, when
+    the workspace is constructed; it is not a constructor argument.
     """
 
     domain: tuple
@@ -103,20 +114,30 @@ class SplineWorkspace:
     G_inv_half: np.ndarray
     Gc: np.ndarray
     _unit_knots: np.ndarray = field(repr=False)
+    _basis: BSpline = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_basis", _unit_basis(self._unit_knots, self.order, self.c))
 
 
-def _unit_gram(unit_knots: np.ndarray, order: int, c: int) -> np.ndarray:
+def _unit_basis(unit_knots: np.ndarray, order: int, c: int) -> BSpline:
+    """All c basis functions on [0, 1] as one vector-valued spline."""
+    return BSpline(unit_knots, np.eye(c), order - 1, extrapolate=False)
+
+
+def _unit_gram(basis: BSpline) -> np.ndarray:
     # Gauss-Legendre per knot span, exact for products of two splines:
     # the integrand has degree 2*(order-1) on each span.
-    n_nodes = math.ceil((2 * (order - 1) + 1) / 2) + 1
+    n_nodes = math.ceil((2 * basis.k + 1) / 2) + 1
     nodes, weights = leggauss(n_nodes)
+    c = basis.c.shape[1]
     G = np.zeros((c, c))
-    breaks = np.unique(unit_knots)
+    breaks = np.unique(basis.t)
     for left, right in zip(breaks[:-1], breaks[1:]):
         half = 0.5 * (right - left)
         mid = 0.5 * (right + left)
         x = mid + half * nodes
-        Bx = BSpline.design_matrix(x, unit_knots, order - 1).toarray()
+        Bx = basis(x)
         G += half * (Bx * weights[:, None]).T @ Bx
     return 0.5 * (G + G.T)
 
@@ -154,7 +175,7 @@ def build_workspace(domain, n_interior: int, order: int = 4) -> SplineWorkspace:
     unit_knots = np.concatenate([np.zeros(order), interior, np.ones(order)])
     D = diff_matrix(c)
     DtD = D.T @ D
-    G = (b - a) * _unit_gram(unit_knots, order, c)
+    G = (b - a) * _unit_gram(_unit_basis(unit_knots, order, c))
     G_half, G_inv_half = sym_sqrt_pair(G)
     return SplineWorkspace(
         domain=(a, b),
@@ -177,7 +198,10 @@ def eval_basis_matrix(ws: SplineWorkspace, times) -> np.ndarray:
     """Evaluate all basis functions at the given times.
 
     Returns the design matrix of shape (len(times), c). Times outside the
-    workspace domain raise :class:`DomainError`.
+    workspace domain raise :class:`DomainError`. The values come from the
+    workspace's cached evaluator and are bit-identical to
+    ``BSpline.design_matrix(u, ws._unit_knots, ws.order - 1).toarray()``
+    at the unit times ``u``.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.size == 0:
@@ -189,7 +213,7 @@ def eval_basis_matrix(ws: SplineWorkspace, times) -> np.ndarray:
         bad = t[(t < a) | (t > b)][0]
         raise DomainError(f"time {bad!r} outside the fitted domain [{a}, {b}]")
     u = (t - a) / (b - a)
-    return BSpline.design_matrix(u, ws._unit_knots, ws.order - 1).toarray()
+    return ws._basis(u)
 
 
 def eval_basis(ws: SplineWorkspace, t: float) -> np.ndarray:

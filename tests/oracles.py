@@ -8,8 +8,11 @@ two is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
+from scipy.interpolate import BSpline
 
 
 def bspline_value(knots, order, gamma, t):
@@ -63,6 +66,27 @@ def gram_gl64(domain, unit_knots, order, c):
             G += (half * w) * np.outer(b, b)
     a, b_ = float(domain[0]), float(domain[1])
     return (b_ - a) * G
+
+
+def design_matrix(unit_knots, order, u):
+    """Basis values at unit times through scipy's sparse design matrix,
+    densified: the evaluator the package used before it cached one per
+    workspace, and which that evaluator must reproduce bit for bit."""
+    return BSpline.design_matrix(np.asarray(u, dtype=float), unit_knots, order - 1).toarray()
+
+
+def design_matrix_gram(domain, unit_knots, order, c):
+    """The package's Gram quadrature (the fewest Gauss-Legendre nodes
+    exact per knot span) with :func:`design_matrix` as the basis."""
+    nodes, weights = np.polynomial.legendre.leggauss(math.ceil((2 * (order - 1) + 1) / 2) + 1)
+    G = np.zeros((c, c))
+    breaks = np.unique(np.asarray(unit_knots, dtype=float))
+    for left, right in zip(breaks[:-1], breaks[1:]):
+        half = 0.5 * (right - left)
+        mid = 0.5 * (right + left)
+        Bx = design_matrix(unit_knots, order, mid + half * nodes)
+        G += half * (Bx * weights[:, None]).T @ Bx
+    return (float(domain[1]) - float(domain[0])) * (0.5 * (G + G.T))
 
 
 def aux_double_loop(times_k, resid_k, times_kp, resid_kp, basis, c, auto):

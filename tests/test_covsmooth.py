@@ -414,13 +414,17 @@ def test_selection_cost_scales_linearly_in_subjects():
     # Only the per-subject scoring is timed: the whitening and the penalty
     # eigendecomposition cost the same at any n and would dilute the ratio.
     # Small and big runs alternate, so a slow spell of the host hits both.
+    # Each timed call prices 32 rho (tens of ms), so that waking a
+    # multithreaded BLAS's idle threads is small against the work.
     def stage(X, y, slices):
         stats = oracles.row_statistics(X, y, slices)
         return GridSelector(*stats, P).for_weights((1.0,))
 
+    rhos = np.logspace(-1.0, 2.0, 32)
+
     def run_once(st):
         t0 = time.perf_counter()
-        st.score_all([0.1, 1.0, 10.0, 100.0])
+        st.score_all(rhos)
         return time.perf_counter() - t0
 
     n = 400

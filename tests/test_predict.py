@@ -1,5 +1,7 @@
 """Conditional-expectation curve prediction from sparse observations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -297,11 +299,10 @@ def batch_of(labels, obs_t, obs_v, keep):
     )
 
 
-def test_batch_matches_direct_conditioning_for_every_subject():
-    model, labels, obs_t, obs_v = mixed_batch()
-    assert np.linalg.eigvalsh(whitened_stack(model))[0] < -0.1  # indefinite
+def check_against_dense_condition(model, labels, obs_t, obs_v, grid):
+    """Predict a mixed batch on ``grid`` and at observed times and compare
+    every subject with :func:`dense_condition`."""
     eig = eigendecompose(model)
-    grid = np.linspace(0.0, 1.0, 7)
     data = batch_of(labels, obs_t, obs_v, range(len(labels)))
     res = predict_batch(model, eig, data, grid, full_cov=True)
 
@@ -335,6 +336,37 @@ def test_batch_matches_direct_conditioning_for_every_subject():
             np.testing.assert_allclose(obs.xhat[:, r], xhat, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(obs.var[:, r], np.diag(cov).clip(0.0), atol=1e-8)
         start += t_k.size
+
+
+def test_batch_matches_direct_conditioning_for_every_subject():
+    model, labels, obs_t, obs_v = mixed_batch()
+    assert np.linalg.eigvalsh(whitened_stack(model))[0] < -0.1  # indefinite
+    check_against_dense_condition(model, labels, obs_t, obs_v, np.linspace(0.0, 1.0, 7))
+
+
+def test_means_on_another_workspace_match_direct_conditioning():
+    # the means live on a finer basis than the covariance (3 interior knots
+    # against 1), so they are evaluated apart from the model's basis
+    model, labels, obs_t, obs_v = mixed_batch()
+    ws_mean = funcov.build_workspace(model.ws.domain, 3, model.ws.order)
+    rng = np.random.default_rng(46)
+    model.means = [spline_mean(ws_mean, 2.0 * rng.standard_normal(ws_mean.c)) for _ in range(2)]
+    check_against_dense_condition(model, labels, obs_t, obs_v, np.linspace(0.0, 1.0, 7))
+
+
+def test_equal_but_distinct_mean_workspace_predicts_bit_for_bit():
+    model, labels, obs_t, obs_v = mixed_batch()
+    eig = eigendecompose(model)
+    twin_ws = funcov.build_workspace(model.ws.domain, model.ws.n_interior, model.ws.order)
+    twin = replace(model, means=[spline_mean(twin_ws, mean.alpha) for mean in model.means])
+    assert twin.means[0].ws is not twin.ws
+    data = batch_of(labels, obs_t, obs_v, range(len(labels)))
+    grid = np.linspace(0.0, 1.0, 9)
+    for kwargs in (dict(times=grid, full_cov=True), dict()):
+        shared = predict_batch(model, eig, data, **kwargs)
+        apart = predict_batch(twin, eig, data, **kwargs)
+        for name in ("xhat", "var", "lower", "upper", "cov", "scores", "jitter"):
+            np.testing.assert_array_equal(getattr(apart, name), getattr(shared, name))
 
 
 def test_batch_subjects_are_independent_bit_for_bit():

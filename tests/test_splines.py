@@ -66,6 +66,28 @@ def test_basis_matches_recursion_oracle():
         np.testing.assert_allclose(B[i], row, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (-2.5, 7.0)])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+def test_basis_and_gram_equal_the_design_matrix_path(order, domain):
+    rng = np.random.default_rng(order)
+    a, b = domain
+    for n_interior in (1, 2, 9, 20):
+        if n_interior + order < 3:
+            continue
+        ws = build_workspace(domain, n_interior, order)
+        knots = np.unique(ws.knots)
+        ts = np.concatenate([
+            knots,
+            np.nextafter(knots[1:], -np.inf),
+            np.nextafter(knots[:-1], np.inf),
+            a + (b - a) * rng.random(20_000),
+        ])
+        oracle = oracles.design_matrix(ws._unit_knots, order, (ts - a) / (b - a))
+        np.testing.assert_array_equal(eval_basis_matrix(ws, ts), oracle)
+        G = oracles.design_matrix_gram(domain, ws._unit_knots, order, ws.c)
+        np.testing.assert_array_equal(ws.G, G)
+
+
 def test_partition_of_unity_and_support():
     for order in (2, 3, 4, 5):
         ws = build_workspace((0.0, 1.0), 6, order)
