@@ -148,6 +148,27 @@ def _vec(M):
     return M.transpose(0, 2, 1).reshape(M.shape[0], -1)
 
 
+def _duplication_gather(c: int):
+    """``M -> _vec(M) @ duplication_matrix(c)`` for (n, c, c) stacks.
+
+    Column h of the duplication matrix adds the entries (i, j) and (j, i)
+    of the lower-triangle pair i >= j it stands for (once on the
+    diagonal), so the product is an index gather over each matrix's
+    row-major entries rather than a GEMM against a 0/1 matrix.
+    """
+    j, i = np.triu_indices(c)
+    lo, up, off = i * c + j, j * c + i, (i != j).astype(float)
+
+    def gather(M):
+        # np.take keeps the result row-major, as the GEMM's was; fancy
+        # indexing would return it column-major, and a product with it
+        # (Hg @ eta) would then sum in another order
+        M = M.reshape(M.shape[0], c * c)
+        return np.take(M, lo, axis=1) + np.take(M, up, axis=1) * off
+
+    return gather
+
+
 def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     """Normal matrix, per-subject right-hand sides and ``X_i'X_i`` action.
 
@@ -160,6 +181,12 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     the same-point indicator ``z_i``; with ``S = mat(Gc eta)`` its
     ``X_i'X_i`` maps ``[eta; sigma]`` to
     ``[Gc'vec(G_i S G_i) + sigma Gc'vec(G_i); <G_i, S> + m_i sigma]``.
+
+    Each action, run once per rho of the grid, is two small products per
+    subject. A cross block's first one is a single (n c, c) GEMM over the
+    stacked ``G'_i``; an auto block applies ``Gc'`` as an index gather
+    (:func:`_duplication_gather`) rather than a GEMM against the 0/1
+    duplication matrix.
     """
     c, n = ws.c, len(block.slices)
     starts = np.array([a for a, _ in block.slices])
@@ -179,11 +206,18 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     # sum_i kron(G'_i, G_i)
     K = np.einsum("iac,ibd->abcd", Gp, G, optimize=True).reshape(c * c, c * c)
     if block.k != block.kp:
-        return K, rhs, lambda beta: _vec(G @ beta.reshape(c, c, order="F") @ Gp)
+        Gp_rows = Gp.reshape(n * c, c)
 
-    Gc = ws.Gc
+        def apply_cross(beta):
+            # vec(G_i T G'_i) is the row-major flattening of G'_i T' G_i
+            # (both Grams are symmetric), and beta.reshape(c, c) is T'
+            return ((Gp_rows @ beta.reshape(c, c)).reshape(n, c, c) @ G).reshape(n, c * c)
+
+        return K, rhs, apply_cross
+
+    Gc, dup = ws.Gc, _duplication_gather(c)
     m = np.bincount(subj[j2 == 0], minlength=n)
-    Hg = _vec(G) @ Gc  # rows Gc'vec(G_i) = (X_i Gc)'z_i
+    Hg = dup(G)  # rows Gc'vec(G_i) = (X_i Gc)'z_i
     h = Hg.sum(axis=0)
     gram = np.block([[Gc.T @ K @ Gc, h[:, None]], [h, m.sum()]])
     rhs = np.column_stack([rhs @ Gc, np.trace(Cm, axis1=1, axis2=2)])
@@ -191,7 +225,7 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     def apply(beta):
         eta, sigma = beta[:-1], beta[-1]
         S = (Gc @ eta).reshape(c, c, order="F")
-        return np.column_stack([_vec(G @ S @ G) @ Gc + sigma * Hg, Hg @ eta + sigma * m])
+        return np.column_stack([dup(G @ S @ G) + sigma * Hg, Hg @ eta + sigma * m])
 
     return gram, rhs, apply
 

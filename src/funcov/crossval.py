@@ -13,7 +13,8 @@ vector, which the covariance smoother builds from c x c Gram matrices
 (:mod:`funcov.covsmooth`). It whitens ``X'X`` once and eigendecomposes
 each penalty mixture once; in that basis a penalty level ``rho`` enters
 only through the diagonal ``d = 1 / (1 + rho s)``, so each rho costs one
-application of the callable and one (n, q) by (q, q) product.
+application of the callable (for a covariance block, two small c x c
+products per subject) and one (n, q) by (q, q) product.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
     best = None
     for weights in weight_grid:
         scores = sel.for_weights(weights).score_all(rho_grid)
-        for rho, val in zip(rho_grid, scores):
-            surface.append((float(rho), tuple(weights), float(val)))
+        for rho, val in zip(map(float, rho_grid), scores):
+            surface.append((rho, tuple(weights), float(val)))
             if not np.isfinite(val):
                 warnings.warn(
                     f"skipping non-finite selection score at rho={rho!r}",
@@ -237,7 +238,7 @@ def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
                 continue
             key = (val, -rho, tuple(-w for w in weights))
             if best is None or key <= best[0]:
-                best = (key, float(rho), weights, float(val))
+                best = (key, rho, weights, float(val))
     if best is None:
         raise FloatingPointError("selection criterion was non-finite on the whole grid")
     _, rho, weights, score = best

@@ -210,7 +210,7 @@ def eval_basis_matrix(ws: SplineWorkspace, times) -> np.ndarray:
         raise DomainError("non-finite time values")
     a, b = ws.domain
     if t.min() < a or t.max() > b:
-        bad = t[(t < a) | (t > b)][0]
+        bad = float(t[(t < a) | (t > b)][0])
         raise DomainError(f"time {bad!r} outside the fitted domain [{a}, {b}]")
     u = (t - a) / (b - a)
     return ws._basis(u)

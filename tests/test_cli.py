@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -473,6 +474,21 @@ def test_bad_domain_flag_is_invalid(tmp_path, capsys):
     payload = json.loads(captured.err)
     assert payload["error"] == "invalid"
     assert "expects 'a,b'" in payload["message"]
+
+
+def test_data_outside_the_domain_flag_is_domain_error(tmp_path, capsys):
+    # the message names the offending time as a plain float
+    path = tmp_path / "d.csv"
+    make_dataset(np.random.default_rng(0), n=3, p=2).to_csv(path)
+    code, captured = run_fail(
+        capsys,
+        ["fit", "--data", str(path), "--out", str(tmp_path / "m.json"), "--domain", "0,0.5"],
+    )
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "domain"
+    pattern = r"time 0\.\d+ outside the fitted domain \[0\.0, 0\.5\]"
+    assert re.fullmatch(pattern, payload["message"])
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -11,7 +11,7 @@ from funcov import FuncovError, SingularSystemError, build_workspace
 from funcov import covsmooth
 from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross
 from funcov.crossval import GridSelector
-from funcov.splines import eval_basis, eval_basis_matrix
+from funcov.splines import duplication_matrix, eval_basis, eval_basis_matrix
 
 import oracles
 from conftest import dense_aux, make_dataset, spline_mean, zero_means
@@ -262,6 +262,15 @@ def test_block_statistics_match_the_dense_design(pair):
     assert_close(rhs.sum(axis=0), X.T @ C)
     assert_close(rhs, np.array(expect_rhs))
     assert_close(apply(beta), np.array(expect_apply))
+
+
+@pytest.mark.parametrize("c", [3, 4, 13])
+def test_duplication_gather_equals_the_duplication_product(c):
+    # non-symmetric stacks, so each of the two entries a column adds counts
+    M = np.random.default_rng(c).standard_normal((7, c, c))
+    np.testing.assert_array_equal(
+        covsmooth._duplication_gather(c)(M), covsmooth._vec(M) @ duplication_matrix(c)
+    )
 
 
 def test_auto_recovers_exact_surface():

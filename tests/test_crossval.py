@@ -158,6 +158,23 @@ def test_non_finite_scores_warn_and_skip():
             dense_select(X, y, slices, P, [np.nan], [(1.0,)])
 
 
+def test_non_finite_score_warning_names_a_plain_float():
+    # an action returning NaN makes every score non-finite; the warning
+    # names each rho of the numpy grid as a plain float
+    X, y, slices = random_instance(9, q=5)
+    gram, rhs, norm_y2, apply = oracles.row_statistics(X, y, slices)
+    with pytest.warns(RuntimeWarning) as record:
+        with pytest.raises(FloatingPointError):
+            select_grid(
+                gram, rhs, norm_y2, lambda beta: np.full_like(apply(beta), np.nan),
+                [np.eye(5)], np.array([0.5, 2.0]), [(1.0,)],
+            )
+    assert [str(w.message) for w in record] == [
+        "skipping non-finite selection score at rho=0.5",
+        "skipping non-finite selection score at rho=2.0",
+    ]
+
+
 def test_ties_break_toward_larger_rho_then_weight():
     # y = 0 makes every grid score exactly 0.0: pure tie-break exercise
     X, _, slices = random_instance(2, q=6)

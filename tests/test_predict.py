@@ -1,6 +1,10 @@
 """Conditional-expectation curve prediction from sparse observations."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from scipy.stats import norm
 import funcov
 from funcov import FuncovError
 from funcov.fpca import eigendecompose, eval_eigenfunction, stack_blocks, whitened_stack
-from funcov.predict import predict_batch, predict_subject
+from funcov.predict import _normal_quantile, predict_batch, predict_subject
 from funcov.splines import eval_basis_matrix
 
 import oracles
@@ -107,6 +111,42 @@ def test_bands_are_mean_plus_minus_quantile_se():
     res80 = predict_subject(model, eig, obs_t, obs_v, grid, level=0.8)
     z = float(norm.ppf(0.9))
     np.testing.assert_array_equal(res80.upper, res80.xhat + z * se)
+
+
+def test_normal_quantile_equals_norm_ppf_bit_for_bit():
+    # the band's quantile comes from scipy.special.ndtri; scipy.stats is
+    # the oracle (1.96 stays verbatim at 0.95)
+    assert _normal_quantile(0.95) == 1.96
+    for level in np.linspace(0.0, 1.0, 2001)[1:-1]:
+        if level != 0.95:
+            assert _normal_quantile(level) == float(norm.ppf(0.5 + level / 2)), level
+
+
+def test_banded_prediction_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: import funcov, fit, predict with a band
+    script = """
+import sys
+import numpy as np
+import funcov
+train, _ = funcov.generate(funcov.SimDesign(n=30, rho=0.5, seed=11, n_test=0))
+res = funcov.fit_covariance_model(
+    train, funcov.FitSettings(n_interior_mean=4, n_interior_cov=4, domain=(0.0, 1.0))
+)
+out = funcov.predict_subject(
+    res.model, res.eig, [np.array([0.3]), np.array([0.6]), np.array([0.2, 0.7])],
+    [np.array([0.5]), np.array([-0.2]), np.array([0.1, 0.9])], np.linspace(0, 1, 5), level=0.8,
+)
+assert np.all(out.upper > out.lower)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]))
+"""
+    src = str(Path(funcov.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_conditioning_never_inflates_variance():

@@ -222,6 +222,13 @@ def test_eval_out_of_domain_raises():
         eval_basis(ws, np.nan)
 
 
+def test_out_of_domain_message_names_a_plain_float():
+    ws = build_workspace((0.0, 1.0), 5, 4)
+    with pytest.raises(DomainError) as exc:
+        eval_basis_matrix(ws, np.array([0.5, 1.5, -2.0]))
+    assert str(exc.value) == "time 1.5 outside the fitted domain [0.0, 1.0]"
+
+
 def test_build_workspace_validation():
     with pytest.raises(FuncovError):
         build_workspace((0.0, 0.0), 5, 4)
