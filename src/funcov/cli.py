@@ -145,10 +145,11 @@ def _config_from_args(args) -> RunConfig:
         if k not in ("command", "config", "data", "out", "model", "out_dir", "times")
     }
     if "domain" in flag_values:
-        parts = flag_values["domain"].split(",")
-        if len(parts) != 2:
-            raise FuncovError("--domain expects 'a,b'")
-        flag_values["domain"] = (float(parts[0]), float(parts[1]))
+        try:
+            a, b = map(float, flag_values["domain"].split(","))
+        except ValueError:  # not two numbers
+            raise FuncovError("--domain expects 'a,b'") from None
+        flag_values["domain"] = (a, b)
     if "responses" in flag_values:
         flag_values["responses"] = [
             r.strip() for r in flag_values["responses"].split(",") if r.strip()

@@ -3,9 +3,35 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import DataFormatError, FuncovError
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _list_of(ok):
+    return lambda x: isinstance(x, (list, tuple)) and all(map(ok, x))
+
+
+# The kind of value each field holds (or None, where that is its default).
+_FIELD_KINDS = {
+    "an integer": (_integer, "order n_interior_mean n_interior_cov npc grid_size workers seed "
+                   "n m_min m_max replicates n_test"),
+    "a number": (_real, "pve level rho snr"),
+    "true or false": (lambda x: isinstance(x, bool), "compare_zero_cross"),
+    "a list of numbers": (_list_of(_real), "tau_grid rho_grid w_grid"),
+    "two numbers [a, b]": (lambda x: _list_of(_real)(x) and len(x) == 2, "domain"),
+    "a list of integers": (_list_of(_integer), "n_values"),
+    "a list of strings": (_list_of(lambda x: isinstance(x, str)), "responses"),
+}
 
 
 @dataclass
@@ -47,6 +73,11 @@ class RunConfig:
     compare_zero_cross: bool = False
 
     def validate(self) -> "RunConfig":
+        for kind, (ok, names) in _FIELD_KINDS.items():
+            for name in names.split():
+                value = getattr(self, name)
+                if not ok(value) and not (value is None and getattr(RunConfig, name) is None):
+                    raise FuncovError(f"{name} must be {kind}, got {value!r}")
         if self.order < 1:
             raise FuncovError("order must be >= 1")
         if self.n_interior_mean < 1 or self.n_interior_cov < 1:
@@ -103,7 +134,7 @@ def merge_config(flag_values: dict, config_path=None) -> RunConfig:
             # a config n replaces the whole flag-derived training-size list
             merged.pop("n_values", None)
         merged.update(overrides)
-    cfg = RunConfig(**merged)
+    cfg = RunConfig(**merged).validate()
     if cfg.domain is not None:
         cfg.domain = (float(cfg.domain[0]), float(cfg.domain[1]))
-    return cfg.validate()
+    return cfg

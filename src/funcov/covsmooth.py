@@ -8,12 +8,12 @@ coefficient matrix solves a tensor-product penalized least squares
 problem; the penalty level is chosen by the fast leave-one-subject-out
 criterion in :mod:`funcov.crossval`.
 
-Pairs are enumerated with the second response's index moving slowest, so
-a subject's products are ``kron(r'_i, r_i)`` and its design rows
-``X_i = P'_i (x) P_i``, from the two responses' basis rows. These rows are
-never stacked: selection and the solve use the c x c Grams
-``G_i = P_i'P_i`` and ``G'_i``, with ``X_i'X_i = G'_i (x) G_i``, and
-``X_i'C_i = vec(P_i' mat(C_i) P'_i)``.
+A block holds, for the subjects that observe both responses, zero-padded
+stacks of the two responses' basis rows ``P_i`` and ``P'_i`` and of the raw
+covariances ``C_i = r_i r'_i'``. The design rows ``X_i = P'_i (x) P_i``
+are never formed: selection and the solve use the c x c Grams
+``G_i = P_i'P_i`` and ``G'_i``, with ``X_i'X_i = G'_i (x) G_i`` and
+``X_i'vec(C_i) = vec(P_i' C_i P'_i)``.
 """
 
 from __future__ import annotations
@@ -42,23 +42,26 @@ def default_rho_grid() -> np.ndarray:
 
 @dataclass
 class AuxBlock:
-    """Residual products of one response pair and the rows of their design.
+    """Residual products of one response pair, stacked per subject.
+
+    Only the n_b subjects that observe both responses are kept, in subject
+    order. Every stack is zero-padded past each subject's count.
 
     Attributes
     ----------
     k, kp : int
         Response indices, k <= kp.
-    C : ndarray, shape (N,)
-        Residual products, subject blocks concatenated.
-    P, Pp : ndarray, shapes (n_k, c) and (n_kp, c)
-        Basis rows of responses k and kp at their pooled observation
+    C : ndarray, shape (n_b, m, m')
+        Raw covariances: ``C[i, j1, j2] = r_ij1^{(k)} r_ij2^{(kp)}``, whose
+        design row evaluates the surface at ``(t_ij1^{(k)}, t_ij2^{(kp)})``.
+        In an auto block the same-point pairs are the diagonal
+        ``j1 = j2 < m[i]``.
+    P, Pp : ndarray, shapes (n_b, m, c) and (n_b, m', c)
+        Basis rows of responses k and kp at each subject's observation
         times; one array for an auto block.
-    i1, i2 : ndarray of int, shape (N,)
-        Pooled observation indices of each product's factors: row l of the
-        design is ``kron(Pp[i2[l]], P[i1[l]])``, and in an auto block the
-        same-point pairs are those with ``i1 == i2``.
-    slices : list of (start, stop)
-        Row range of each contributing subject.
+    m, mp : ndarray of int, shape (n_b,)
+        Observation counts of responses k and kp; one array for an auto
+        block.
     y_var : float
         Sample variance of the raw response values (auto blocks only);
         sets the clipping scale for a negative noise variance estimate.
@@ -69,9 +72,8 @@ class AuxBlock:
     C: np.ndarray
     P: np.ndarray
     Pp: np.ndarray
-    i1: np.ndarray
-    i2: np.ndarray
-    slices: list
+    m: np.ndarray
+    mp: np.ndarray
     y_var: float
 
 
@@ -93,54 +95,36 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
     subject every (j1, j2) observation pair contributes the product
     ``r_ij1^{(k)} r_ij2^{(kp)}``, whose design row evaluates the spline
     surface at ``(t_ij1^{(k)}, t_ij2^{(kp)})``. Subjects missing either
-    response contribute no rows. The basis and the mean are evaluated
-    once per response over its pooled times; every pair indexes them.
+    response are dropped. The basis and the mean are evaluated once per
+    response over its pooled times.
     """
     if not 0 <= k <= kp < data.n_responses:
         raise FuncovError(f"bad response pair ({k}, {kp})")
     auto = k == kp
-    P, r, m, first, v = _pooled_residuals(data, means, ws, k)
-    if auto:
-        Pp, rp, mp, first_p = P, r, m, first
-    else:
-        Pp, rp, mp, first_p, _ = _pooled_residuals(data, means, ws, kp)
+    P, r, m, v = _subject_stacks(data, means, ws, k)
+    Pp, rp, mp, _ = (P, r, m, v) if auto else _subject_stacks(data, means, ws, kp)
     keep = (m > 0) & (mp > 0)
-    m, mp, first, first_p = m[keep], mp[keep], first[keep], first_p[keep]
-    n_rows = m * mp
-    if n_rows.sum() == 0:
+    if not keep.any():
         raise FuncovError(f"no subject observes both responses {k} and {kp}")
-    ends = np.cumsum(n_rows)
-    # row l of subject i pairs observation j1 = l % m_i of response k with
-    # j2 = l // m_i of response kp (the second index moves slowest)
-    subj = np.repeat(np.arange(n_rows.size), n_rows)
-    local = np.arange(ends[-1]) - (ends - n_rows)[subj]
-    i1 = first[subj] + local % m[subj]
-    i2 = first_p[subj] + local // m[subj]
+    m, mp = m[keep], mp[keep]
+    # pad only to the largest count among the kept subjects
+    P, r = P[keep, : m.max()], r[keep, : m.max()]
+    Pp, rp = (P, r) if auto else (Pp[keep, : mp.max()], rp[keep, : mp.max()])
     y_var = float(np.var(v)) if auto else 0.0
-    return AuxBlock(
-        k=k,
-        kp=kp,
-        C=rp[i2] * r[i1],
-        P=P,
-        Pp=Pp,
-        i1=i1,
-        i2=i2,
-        slices=[(int(e - n), int(e)) for e, n in zip(ends, n_rows)],
-        y_var=y_var,
-    )
+    return AuxBlock(k, kp, r[:, :, None] * rp[:, None, :], P, Pp, m, mp, y_var)
 
 
-def _pooled_residuals(data, means, ws: SplineWorkspace, k: int):
-    """Basis rows, residuals, per-subject counts, first pooled index and
-    values of response k."""
+def _subject_stacks(data, means, ws: SplineWorkspace, k: int):
+    """Basis rows (n, m, c) and residuals (n, m) of response k, zero-padded
+    past each subject's count, with the counts and the raw values."""
     t, v, counts = data.pooled(k)
-    return (
-        eval_basis_matrix(ws, t),
-        v - means[k](t),
-        counts,
-        np.cumsum(counts) - counts,
-        v,
-    )
+    subj = np.repeat(np.arange(counts.size), counts)
+    j = np.arange(t.size) - (np.cumsum(counts) - counts)[subj]
+    P = np.zeros((counts.size, counts.max(initial=0), ws.c))
+    P[subj, j] = eval_basis_matrix(ws, t)
+    r = np.zeros(P.shape[:2])
+    r[subj, j] = v - means[k](t)
+    return P, r, counts, v
 
 
 def _vec(M):
@@ -173,9 +157,8 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     """Normal matrix, per-subject right-hand sides and ``X_i'X_i`` action.
 
     Returns ``(gram, rhs, apply)`` as :class:`funcov.crossval.GridSelector`
-    takes them. Each subject's basis rows and products are laid out in
-    zero-padded (n, m, c) and (n, m, m') stacks, so the Grams ``G_i``,
-    ``G'_i`` and ``P_i' mat(C_i) P'_i`` are batched products. A cross
+    takes them. The Grams ``G_i``, ``G'_i`` and ``P_i' C_i P'_i`` are
+    batched products over the block's zero-padded stacks. A cross
     block's ``X_i'X_i = G'_i (x) G_i`` maps ``vec(T)`` to
     ``vec(G_i T G'_i)``. An auto block's design is ``[X_i Gc, z_i]`` with
     the same-point indicator ``z_i``; with ``S = mat(Gc eta)`` its
@@ -188,21 +171,10 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     (:func:`_duplication_gather`) rather than a GEMM against the 0/1
     duplication matrix.
     """
-    c, n = ws.c, len(block.slices)
-    starts = np.array([a for a, _ in block.slices])
-    subj = np.repeat(np.arange(n), [b - a for a, b in block.slices])
-    j1 = block.i1 - block.i1[starts][subj]
-    j2 = block.i2 - block.i2[starts][subj]
-    Cm = np.zeros((n, j1.max() + 1, j2.max() + 1))
-    Cm[subj, j1, j2] = block.C
-    # the products with j2 = 0 (j1 = 0) list each observation of k (kp) once
-    P = np.zeros((n, Cm.shape[1], c))
-    P[subj[j2 == 0], j1[j2 == 0]] = block.P[block.i1[j2 == 0]]
-    Pp = np.zeros((n, Cm.shape[2], c))
-    Pp[subj[j1 == 0], j2[j1 == 0]] = block.Pp[block.i2[j1 == 0]]
-    Pt = P.transpose(0, 2, 1)
-    G, Gp = Pt @ P, Pp.transpose(0, 2, 1) @ Pp
-    rhs = _vec(Pt @ Cm @ Pp)
+    c, n = ws.c, block.C.shape[0]
+    Pt = block.P.transpose(0, 2, 1)
+    G, Gp = Pt @ block.P, block.Pp.transpose(0, 2, 1) @ block.Pp
+    rhs = _vec(Pt @ block.C @ block.Pp)
     # sum_i kron(G'_i, G_i)
     K = np.einsum("iac,ibd->abcd", Gp, G, optimize=True).reshape(c * c, c * c)
     if block.k != block.kp:
@@ -215,12 +187,11 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
 
         return K, rhs, apply_cross
 
-    Gc, dup = ws.Gc, _duplication_gather(c)
-    m = np.bincount(subj[j2 == 0], minlength=n)
+    Gc, dup, m = ws.Gc, _duplication_gather(c), block.m
     Hg = dup(G)  # rows Gc'vec(G_i) = (X_i Gc)'z_i
     h = Hg.sum(axis=0)
     gram = np.block([[Gc.T @ K @ Gc, h[:, None]], [h, m.sum()]])
-    rhs = np.column_stack([rhs @ Gc, np.trace(Cm, axis1=1, axis2=2)])
+    rhs = np.column_stack([rhs @ Gc, np.trace(block.C, axis1=1, axis2=2)])
 
     def apply(beta):
         eta, sigma = beta[:-1], beta[-1]
@@ -263,7 +234,7 @@ def _select(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid):
         penalties = [ws.P1, ws.P2]
         weights = [(float(w), float(1.0 - w)) for w in w_grid]
     gram, rhs, apply = _block_statistics(block, ws)
-    norm_y2 = float(block.C @ block.C)
+    norm_y2 = float(np.vdot(block.C, block.C))
     sel = select_grid(
         gram, rhs, norm_y2, apply, penalties=penalties, rho_grid=rho_grid, weight_grid=weights
     )

@@ -38,22 +38,18 @@ GRAM_RIDGE = 1e-10
 LOSO_SINGULAR_TOL = 1e-8
 
 
-def size_groups(slices):
+def size_groups(counts):
     """Row indices of the nonempty subjects, grouped by row count.
 
-    Returns one integer array of shape (n_g, m) per distinct row count m,
-    in increasing m; subjects keep their input order within a group.
-    Indexing a stacked array with it gives an (n_g, m, ...) block whose
-    per-subject products batch as one matmul.
+    ``counts`` holds each subject's row count, the rows stacked in subject
+    order. Returns one integer array of shape (n_g, m) per distinct nonzero
+    count m, in increasing m; subjects keep their input order within a
+    group. Indexing a stacked array with it gives an (n_g, m, ...) block
+    whose per-subject products batch as one matmul.
     """
-    starts = {}
-    for start, stop in slices:
-        if stop > start:
-            starts.setdefault(stop - start, []).append(start)
-    return [
-        np.add.outer(np.array(s, dtype=np.intp), np.arange(m))
-        for m, s in sorted(starts.items())
-    ]
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    return [np.add.outer(starts[counts == m], np.arange(m)) for m in np.unique(counts[counts > 0])]
 
 
 def loso_singular(M):

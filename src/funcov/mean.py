@@ -80,8 +80,6 @@ def fit_mean(data, k: int, ws: SplineWorkspace, tau_grid=None) -> MeanFit:
     t_all, y, counts = data.pooled(k)
     if t_all.size == 0:
         raise FuncovError(f"no observations for response index {k}")
-    ends = np.cumsum(counts)
-    slices = [(int(e - m), int(e)) for e, m in zip(ends, counts) if m]
     B = eval_basis_matrix(ws, t_all)
     G0 = B.T @ B
     DtD = ws.D.T @ ws.D
@@ -91,28 +89,26 @@ def fit_mean(data, k: int, ws: SplineWorkspace, tau_grid=None) -> MeanFit:
     if tau_grid.size == 0 or not np.all(np.isfinite(tau_grid) & (tau_grid >= 0)):
         raise FuncovError("tau grid must be nonempty, finite and nonnegative")
 
-    scores = loso_curve(B, y, slices, G0, DtD, tau_grid)
+    scores = loso_curve(B, y, counts, G0, DtD, tau_grid)
     curve = np.column_stack([tau_grid, scores])
-    best = None
-    for tau, score in zip(tau_grid, scores):
-        if np.isfinite(score):
-            key = (score, -tau)
-            if best is None or key <= best[0]:
-                best = (key, float(tau))
-    if best is None:
+    finite = np.isfinite(scores)
+    if not finite.any():
         raise SingularSystemError(
             f"mean smoothing for response {k} failed at every grid value; "
             "the pooled design is too deficient"
         )
-    tau = best[1]
+    # the lowest finite score; ties prefer the larger tau
+    tau = float(tau_grid[finite & (scores == scores[finite].min())].max())
     alpha = solve_penalized(
         G0 + tau * DtD, B.T @ y, penalty_is_zero=(tau == 0.0), context="mean fit"
     )
     return MeanFit(alpha=alpha, tau=tau, cv_curve=curve, ws=ws)
 
 
-def loso_curve(B, y, slices, G0, DtD, tau_grid) -> np.ndarray:
-    """Leave-one-subject-out error of ``(B'B + tau D'D)`` at every tau.
+def loso_curve(B, y, counts, G0, DtD, tau_grid) -> np.ndarray:
+    """Leave-one-subject-out error of ``(B'B + tau D'D)`` at every tau,
+    from the rows of B and y stacked in subject order, ``counts[i]`` rows
+    for subject i.
 
     The stabilized pencil is diagonalized once: with ``B'B + D'D = L L'``,
     ``L^{-1} D'D L^{-T} = V diag(.) V'`` and ``R = L^{-T} V``, the columns
@@ -130,7 +126,7 @@ def loso_curve(B, y, slices, G0, DtD, tau_grid) -> np.ndarray:
     basis = _joint_basis(B, G0, DtD)
     if basis is None:
         return np.full(len(tau_grid), np.inf)
-    return _joint_errors(*basis, y, size_groups(slices), tau_grid)
+    return _joint_errors(*basis, y, size_groups(counts), tau_grid)
 
 
 def _joint_basis(B, G0, DtD):

@@ -251,6 +251,8 @@ def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction
         raise FuncovError(f"band level must lie in (0, 1), got {level}")
     if full_cov and (times is None or level is None):
         raise FuncovError("full covariances need a shared grid and a band level")
+    if npc is not None and (not isinstance(npc, (int, np.integer)) or isinstance(npc, bool)):
+        raise FuncovError(f"npc must be an integer, got {npc!r}")
     L = eig.npc if npc is None else int(npc)
     if not 0 <= L <= eig.d.size:
         raise FuncovError(f"score count {L} out of range")

@@ -51,6 +51,23 @@ def dense_aux(data, means, ws, k, kp):
     )
 
 
+def pair_mask(block):
+    """(n, m', m) mask of an AuxBlock's observed pairs. Boolean indexing
+    with it visits the pairs in the double-loop oracle's order: subject by
+    subject, the second response's index j2 slowest and j1 fastest."""
+    j1, j2 = np.arange(block.C.shape[1]), np.arange(block.C.shape[2])
+    return (j2[:, None] < block.mp[:, None, None]) & (j1 < block.m[:, None, None])
+
+
+def stack_products(block, flat):
+    """Products in the double-loop oracle's flat order, laid out in the
+    block's zero-padded (n, m, m') stack."""
+    n, m, mp = block.C.shape
+    out = np.zeros((n, mp, m))
+    out[pair_mask(block)] = flat
+    return out.transpose(0, 2, 1)
+
+
 def make_psd_model(seed=0, p=2, n_interior=1, order=4, domain=(0.0, 1.0), scale=1.0, sigma2=0.3):
     """Random covariance model whose whitened stack is PSD by construction."""
     rng = np.random.default_rng(seed)

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from funcov import (
     save_model,
 )
 from funcov.cli import main
+from funcov.config import _FIELD_KINDS, RunConfig
 from funcov.fpca import eigendecompose
 
 from conftest import make_dataset, make_psd_model, spline_mean, zero_model
@@ -443,6 +445,39 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys: bogus" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"domain": [1]}',
+        '{"domain": [0, 1, 2]}',
+        '{"domain": "01"}',
+        '{"order": "4"}',
+        '{"order": true}',
+        '{"pve": "x"}',
+        '{"rho_grid": 5}',
+        '{"npc": 2.5}',
+    ],
+)
+def test_config_value_of_wrong_type_or_shape_is_invalid(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(entry)
+    out_dir = tmp_path / "sims"
+    code, captured = run_fail(
+        capsys,
+        ["simulate", "--out-dir", str(out_dir), "--n", "5", "--n-test", "0",
+         "--config", str(cfg)],
+    )
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid"
+    assert not out_dir.exists()
+
+
+def test_every_config_field_has_a_checked_kind():
+    checked = " ".join(names for _, names in _FIELD_KINDS.values()).split()
+    assert sorted(checked) == sorted(f.name for f in fields(RunConfig))
+
+
 def test_malformed_data_error_payload(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("subject,response,time,value\ns1,y1,0.5,ok\n")
@@ -469,6 +504,19 @@ def test_bad_domain_flag_is_invalid(tmp_path, capsys):
     code, captured = run_fail(
         capsys,
         ["fit", "--data", str(path), "--out", str(tmp_path / "m.json"), "--domain", "0,1,2"],
+    )
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid"
+    assert "expects 'a,b'" in payload["message"]
+
+
+def test_non_numeric_domain_flag_is_invalid(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    make_dataset(np.random.default_rng(0), n=3, p=2).to_csv(path)
+    code, captured = run_fail(
+        capsys,
+        ["fit", "--data", str(path), "--out", str(tmp_path / "m.json"), "--domain", "a,b"],
     )
     assert code == 1
     payload = json.loads(captured.err)

@@ -14,7 +14,14 @@ from funcov.crossval import GridSelector
 from funcov.splines import duplication_matrix, eval_basis, eval_basis_matrix
 
 import oracles
-from conftest import dense_aux, make_dataset, spline_mean, zero_means
+from conftest import (
+    dense_aux,
+    make_dataset,
+    pair_mask,
+    spline_mean,
+    stack_products,
+    zero_means,
+)
 
 
 def residual_dataset(seed, n=6, p=2, m_range=(2, 4)):
@@ -32,9 +39,10 @@ def select_smoothing(block, ws, rho_grid=None, w_grid=None):
 
 
 def design_rows(block):
-    """The block's design rows kron(Pp[i2], P[i1]), materialized."""
-    rows = block.Pp[block.i2][:, :, None] * block.P[block.i1][:, None, :]
-    return rows.reshape(block.C.size, -1)
+    """The block's design rows kron(Pp[i, j2], P[i, j1]), materialized in
+    the double-loop oracle's order."""
+    rows = block.Pp[:, :, None, :, None] * block.P[:, None, :, None, :]
+    return rows[pair_mask(block)].reshape(-1, block.P.shape[2] ** 2)
 
 
 def test_row_count_two_by_three():
@@ -46,14 +54,22 @@ def test_row_count_two_by_three():
         [1.0, 2.0, 3.0, 4.0, 5.0],
     )
     block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
-    assert block.C.shape == block.i1.shape == block.i2.shape == (6,)
-    assert block.P.shape == (2, ws.c) and block.Pp.shape == (3, ws.c)
-    assert block.slices == [(0, 6)]
+    assert block.C.shape == (1, 2, 3)
+    assert block.P.shape == (1, 2, ws.c) and block.Pp.shape == (1, 3, ws.c)
+    assert block.m.tolist() == [2] and block.mp.tolist() == [3]
 
 
 def test_products_match_double_loop_oracle():
+    # random subjects plus one (x) missing response 2, with more points of
+    # response 1 than any other subject (so the cross stacks are padded only
+    # to the kept subjects' counts), and one (z) with a single observation
+    # of each response
     ws = build_workspace((0.0, 1.0), 3, 4)
-    data = residual_dataset(0, n=5, p=2, m_range=(1, 4))
+    base = residual_dataset(0, n=5, p=2, m_range=(2, 4))
+    rows = list(base.iter_rows())
+    rows += [("x", "y1", t, np.sin(7 * t)) for t in (0.1, 0.3, 0.5, 0.6, 0.9)]
+    rows += [("z", "y1", 0.45, 0.7), ("z", "y2", 0.8, -0.4)]
+    data = funcov.SparseFunctionalDataset.from_long(*zip(*rows))
     means = zero_means(ws, 2)
 
     times_k = [data.obs(i, 0)[0] for i in range(data.n_subjects)]
@@ -61,23 +77,38 @@ def test_products_match_double_loop_oracle():
     times_kp = [data.obs(i, 1)[0] for i in range(data.n_subjects)]
     resid_kp = [data.obs(i, 1)[1] for i in range(data.n_subjects)]
     basis = lambda t: eval_basis(ws, t)
+    m_k = np.array([t.size for t in times_k])
+    m_kp = np.array([t.size for t in times_kp])
 
     block = build_aux(data, means, ws, 0, 1)
     C, B, Z, slices = oracles.aux_double_loop(
         times_k, resid_k, times_kp, resid_kp, basis, ws.c, auto=False
     )
-    np.testing.assert_array_equal(block.C, C)
+    both = m_kp > 0  # subject x is dropped
+    assert m_k[both].max() < m_k.max()
+    assert block.C.shape == (data.n_subjects - 1, m_k[both].max(), m_kp[both].max())
+    np.testing.assert_array_equal(block.m, m_k[both])
+    np.testing.assert_array_equal(block.mp, m_kp[both])
+    np.testing.assert_array_equal(block.m * block.mp, [b - a for a, b in slices])
+    np.testing.assert_array_equal(block.C, stack_products(block, C))
     np.testing.assert_allclose(design_rows(block), B, rtol=0, atol=1e-15)
-    assert block.slices == slices
 
     auto = build_aux(data, means, ws, 0, 0)
     C_a, B_a, Z_a, slices_a = oracles.aux_double_loop(
         times_k, resid_k, None, None, basis, ws.c, auto=True
     )
-    np.testing.assert_array_equal(auto.C, C_a)
+    assert auto.C.shape == (data.n_subjects, m_k.max(), m_k.max())
+    np.testing.assert_array_equal(auto.m, m_k)
+    np.testing.assert_array_equal(auto.m * auto.mp, [b - a for a, b in slices_a])
+    np.testing.assert_array_equal(auto.C, stack_products(auto, C_a))
     np.testing.assert_allclose(design_rows(auto), B_a, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(auto.i1 == auto.i2, Z_a)
-    assert auto.slices == slices_a
+    # the same-point pairs are the stack diagonal j1 = j2 < m_i
+    same = np.eye(m_k.max(), dtype=bool) & pair_mask(auto)
+    np.testing.assert_array_equal(same[pair_mask(auto)], Z_a > 0)
+    # the padding is zero
+    assert not block.P[np.arange(block.P.shape[1]) >= block.m[:, None]].any()
+    assert not block.Pp[np.arange(block.Pp.shape[1]) >= block.mp[:, None]].any()
+    assert not block.C[~pair_mask(block).transpose(0, 2, 1)].any()
 
 
 def test_build_aux_evaluates_basis_once_per_response(monkeypatch):
@@ -109,9 +140,7 @@ def test_hand_enumerated_ordering():
         list(rk) + list(rkp),
     )
     block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
-    np.testing.assert_array_equal(
-        block.C, [10.0, 15.0, 14.0, 21.0, 22.0, 33.0]
-    )
+    np.testing.assert_array_equal(block.C, [[[10.0, 14.0, 22.0], [15.0, 21.0, 33.0]]])
     # row (j1, j2) evaluates the surface at (t_j1 of response 1, t_j2 of 2)
     theta = np.arange(ws.c**2, dtype=float).reshape(ws.c, ws.c)
     surf = lambda s, t: eval_basis(ws, s) @ theta @ eval_basis(ws, t)
@@ -284,7 +313,7 @@ def test_auto_recovers_exact_surface():
     block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
     _, B, _, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
     exact = B @ theta_true.ravel(order="F")
-    block = replace(block, C=exact)
+    block = replace(block, C=stack_products(block, exact))
 
     fit = fit_auto(block, ws, rho_grid=[1e-10])
     np.testing.assert_allclose(fit.theta, theta_true, rtol=0, atol=1e-6)
@@ -301,7 +330,7 @@ def test_auto_sigma2_from_same_point_indicator():
     block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
     _, B, Z, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
     C = np.where(Z > 0, v, 0.0)
-    block = replace(block, C=C)
+    block = replace(block, C=stack_products(block, C))
     fit = fit_auto(block, ws, rho_grid=[1e8])
 
     # independent check: least squares on [null-space surface columns, Z];
@@ -323,7 +352,7 @@ def test_sigma2_negative_estimate_clipped_with_warning():
     data = residual_dataset(23, n=10, p=1, m_range=(3, 3))
     block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
     _, _, Z, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
-    block = replace(block, C=np.where(Z > 0, -v, 0.0), y_var=2.0)
+    block = replace(block, C=stack_products(block, np.where(Z > 0, -v, 0.0)), y_var=2.0)
     with pytest.warns(RuntimeWarning, match="negative noise variance"):
         fit = fit_auto(block, ws, rho_grid=[1e8])
     assert fit.sigma2_raw < 0
@@ -378,7 +407,8 @@ def test_build_aux_skips_and_errors():
     )
     means = zero_means(ws, 2)
     block = build_aux(data, means, ws, 0, 1)
-    assert len(block.slices) == 1  # subject b lacks response 2
+    assert block.C.shape == (1, 1, 1)  # subject b lacks response 2
+    assert block.m.tolist() == block.mp.tolist() == [1]
     with pytest.raises(FuncovError, match="bad response pair"):
         build_aux(data, means, ws, 1, 0)
 

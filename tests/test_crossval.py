@@ -12,6 +12,7 @@ from funcov.crossval import (
     loso_shortcut_error,
     loso_singular,
     select_grid,
+    size_groups,
 )
 
 import oracles
@@ -200,6 +201,17 @@ def test_empty_slices_are_ignored():
     r1 = dense_select(X, y, padded, [np.eye(6)], [1.0], [(1.0,)])
     r2 = dense_select(X, y, slices, [np.eye(6)], [1.0], [(1.0,)])
     assert r1.score == r2.score
+
+
+def test_size_groups_skip_empty_subjects_and_keep_order():
+    # rows stacked in subject order; subjects 1 and 5 have none
+    groups = size_groups([2, 0, 1, 2, 3, 0, 1])
+    expected = [[[2], [8]], [[0, 1], [3, 4]], [[5, 6, 7]]]
+    assert len(groups) == len(expected)
+    for g, e in zip(groups, expected):
+        assert np.issubdtype(g.dtype, np.integer)
+        np.testing.assert_array_equal(g, e)
+    assert size_groups([0, 0]) == []
 
 
 def test_score_all_matches_direct_formula_and_single_points():

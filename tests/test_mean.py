@@ -157,9 +157,9 @@ def test_degenerate_design_all_grid_failures():
         data = funcov.SparseFunctionalDataset.from_long(
             subjects, ["y1"] * n * m, [t] * n * m, np.arange(1.0, n * m + 1)
         )
-        B, y, slices, G0, DtD = pooled_design(data, ws)
+        B, y, counts, _, G0, DtD = pooled_design(data, ws)
         full = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
-        assert np.all(np.isinf(loso_curve(B, y, slices, G0, DtD, full)))
+        assert np.all(np.isinf(loso_curve(B, y, counts, G0, DtD, full)))
         for tau_grid in ([0.0], full):
             with pytest.raises(SingularSystemError):
                 fit_mean(data, 0, ws, tau_grid=tau_grid)
@@ -190,11 +190,13 @@ def test_cv_curve_records_grid_and_selection():
 
 
 def pooled_design(data, ws):
+    """(B, y, counts, slices, B'B, D'D) of response 0: ``loso_curve`` takes
+    the per-subject counts, the references take row ranges."""
     t_all, y, counts = data.pooled(0)
     ends = np.cumsum(counts)
     slices = [(int(e - m), int(e)) for e, m in zip(ends, counts) if m]
     B = eval_basis_matrix(ws, t_all)
-    return B, y, slices, B.T @ B, ws.D.T @ ws.D
+    return B, y, counts, slices, B.T @ B, ws.D.T @ ws.D
 
 
 def count_exact_calls(monkeypatch):
@@ -215,9 +217,9 @@ def test_joint_loso_curve_matches_exact_and_literal_paths(monkeypatch):
         rng = np.random.default_rng(60 + seed)
         ws = build_workspace((0.0, 1.0), 5, 4)
         data = make_dataset(rng, n=14, p=1, m_range=(1, 6))
-        B, y, slices, G0, DtD = pooled_design(data, ws)
+        B, y, counts, slices, G0, DtD = pooled_design(data, ws)
         taus = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
-        curve = loso_curve(B, y, slices, G0, DtD, taus)
+        curve = loso_curve(B, y, counts, G0, DtD, taus)
         assert calls == []  # the batched path scored the whole grid
         for tau, val in zip(taus, curve):
             exact = loso_shortcut_error(B, y, slices, G0 + tau * DtD)
@@ -225,7 +227,7 @@ def test_joint_loso_curve_matches_exact_and_literal_paths(monkeypatch):
             assert val == pytest.approx(exact, rel=1e-8)
             assert val == pytest.approx(literal, rel=1e-8)
         fit = fit_mean(data, 0, ws)
-        expected = loso_curve(B, y, slices, G0, DtD, fit.cv_curve[:, 0])
+        expected = loso_curve(B, y, counts, G0, DtD, fit.cv_curve[:, 0])
         np.testing.assert_array_equal(fit.cv_curve[:, 1], expected)
 
 
@@ -262,12 +264,12 @@ def test_ill_conditioned_gram_matches_exact_and_literal_paths(
     # stabilized pencil (B'B + D'D, D'D), within 1e-8 of the exact shortcut
     # and of literal refits.
     ws = build_workspace((0.0, 1.0), 5, 4)
-    B, y, slices, G0, DtD = pooled_design(boundary_sparse_dataset(edge, inner), ws)
+    B, y, counts, slices, G0, DtD = pooled_design(boundary_sparse_dataset(edge, inner), ws)
     w = np.linalg.eigvalsh(G0)
     assert cond_range[0] < w[-1] / w[0] < cond_range[1]
     taus = default_tau_grid(np.trace(G0) / ws.c)
     calls = count_exact_calls(monkeypatch)
-    curve = loso_curve(B, y, slices, G0, DtD, taus)
+    curve = loso_curve(B, y, counts, G0, DtD, taus)
     assert calls == []
     for tau, val in zip(taus, curve):
         exact = loso_shortcut_error(B, y, slices, G0 + tau * DtD)
@@ -283,9 +285,9 @@ def test_loso_point_singular_to_rounding_scores_inf_on_both_paths():
     # rather than a huge number.
     ws = build_workspace((0.0, 1.0), 5, 4)
     data = boundary_sparse_dataset(0.01, 0.25)
-    B, y, slices, G0, DtD = pooled_design(data, ws)
+    B, y, counts, slices, G0, DtD = pooled_design(data, ws)
     taus = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
-    curve = loso_curve(B, y, slices, G0, DtD, taus)
+    curve = loso_curve(B, y, counts, G0, DtD, taus)
     exact = np.array([loso_shortcut_error(B, y, slices, G0 + tau * DtD) for tau in taus])
     assert curve[0] == exact[0] == np.inf
     assert np.all(np.isfinite(curve[1:]))
@@ -307,7 +309,7 @@ def test_singular_gram_takes_the_exact_path(monkeypatch):
         times += list(rng.choice([0.1, 0.35, 0.6, 0.9], size=m))
         values += list(rng.standard_normal(m))
     data = funcov.SparseFunctionalDataset.from_long(subjects, ["y1"] * len(times), times, values)
-    B, y, slices, G0, DtD = pooled_design(data, ws)
+    B, y, _, slices, G0, DtD = pooled_design(data, ws)
     assert np.linalg.matrix_rank(G0) == 4
     grid = np.concatenate([[0.0], default_tau_grid(np.trace(G0) / ws.c)])
 

@@ -266,6 +266,21 @@ def test_score_count_control():
     assert predict_subject(model, eig, obs_t, obs_v, grid, npc=0).scores.shape == (0,)
 
 
+@pytest.mark.parametrize("npc", [2.5, True, np.float64(3.9), "2"])
+def test_non_integer_score_count_is_rejected(npc):
+    # a fit rejects such an npc; prediction must not truncate it
+    model = make_psd_model(seed=37, p=2)
+    eig = eigendecompose(model)
+    obs_t = [np.array([0.5]), np.zeros(0)]
+    obs_v = [np.array([1.0]), np.zeros(0)]
+    data = funcov.SparseFunctionalDataset(["a"], ["y1", "y2"], [obs_t], [obs_v])
+    with pytest.raises(FuncovError, match="npc must be an integer"):
+        predict_batch(model, eig, data, [0.2, 0.9], npc=npc)
+    with pytest.raises(FuncovError, match="npc must be an integer"):
+        predict_subject(model, eig, obs_t, obs_v, [0.5], npc=npc)
+    assert predict_batch(model, eig, data, [0.2, 0.9], npc=np.int64(3)).scores.shape == (1, 3)
+
+
 def test_validation_errors():
     model = make_psd_model(seed=41, p=2)
     eig = eigendecompose(model)
