@@ -21,7 +21,6 @@ from .fpca import (
     eval_covariance,
     eval_eigenfunction,
     refine,
-    select_npc,
     stack_blocks,
     whitened_stack,
 )
@@ -41,10 +40,9 @@ from .simulate import (
     replicate_metrics,
     rise,
     true_covariance,
-    true_eigensystem,
     zero_cross_blocks,
 )
-from .splines import SplineWorkspace, build_workspace, eval_basis, eval_basis_matrix
+from .splines import SplineWorkspace, build_workspace, eval_basis_matrix
 
 __version__ = "0.1.0"
 
@@ -77,7 +75,6 @@ __all__ = [
     "coupling_matrix",
     "eigendecompose",
     "eigenvalue_ratio",
-    "eval_basis",
     "eval_basis_matrix",
     "eval_covariance",
     "eval_eigenfunction",
@@ -99,10 +96,8 @@ __all__ = [
     "rise",
     "save_model",
     "select_grid",
-    "select_npc",
     "stack_blocks",
     "true_covariance",
-    "true_eigensystem",
     "whitened_stack",
     "zero_cross_blocks",
 ]

@@ -26,7 +26,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .dataset import CSV_HEADER, SparseFunctionalDataset
 from .errors import DataFormatError, DomainError, FuncovError
 from .fpca import eval_covariance, eval_eigenfunction
 from .model_io import load_model, save_model
-from .pipeline import FitSettings, fit_covariance_model
+from .pipeline import fit_covariance_model
 from .predict import _predict
 from .simulate import (
     SimDesign,
@@ -83,6 +82,17 @@ def _add_fit_flags(sp):
     sp.add_argument("--grid-size", dest="grid_size", type=int)
 
 
+def _add_design_flags(sp):
+    sp.add_argument("--out-dir", required=True)
+    sp.add_argument("--rho", type=float)
+    sp.add_argument("--snr", type=float)
+    sp.add_argument("--m-min", dest="m_min", type=int)
+    sp.add_argument("--m-max", dest="m_max", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--replicates", type=int)
+    sp.add_argument("--n-test", dest="n_test", type=int)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="funcov", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -109,25 +119,11 @@ def build_parser() -> _Parser:
             sp.add_argument("--npc", type=int)
             sp.add_argument("--level", type=float)
         elif name == "simulate":
-            sp.add_argument("--out-dir", required=True)
             sp.add_argument("--n", type=int)
-            sp.add_argument("--rho", type=float)
-            sp.add_argument("--snr", type=float)
-            sp.add_argument("--m-min", dest="m_min", type=int)
-            sp.add_argument("--m-max", dest="m_max", type=int)
-            sp.add_argument("--seed", type=int)
-            sp.add_argument("--replicates", type=int)
-            sp.add_argument("--n-test", dest="n_test", type=int)
+            _add_design_flags(sp)
         else:
-            sp.add_argument("--out-dir", required=True)
             sp.add_argument("--n", help="training sizes, comma separated")
-            sp.add_argument("--rho", type=float)
-            sp.add_argument("--snr", type=float)
-            sp.add_argument("--m-min", dest="m_min", type=int)
-            sp.add_argument("--m-max", dest="m_max", type=int)
-            sp.add_argument("--seed", type=int)
-            sp.add_argument("--replicates", type=int)
-            sp.add_argument("--n-test", dest="n_test", type=int)
+            _add_design_flags(sp)
             sp.add_argument(
                 "--compare-zero-cross",
                 dest="compare_zero_cross",
@@ -163,32 +159,24 @@ def _config_from_args(args) -> RunConfig:
     return merge_config(flag_values, getattr(args, "config", None))
 
 
-def _fit_settings(cfg: RunConfig) -> FitSettings:
-    return FitSettings(**{f.name: getattr(cfg, f.name) for f in fields(FitSettings)})
+# The SimDesign fields a run config sets, besides n and the seed.
+DESIGN_FIELDS = ("rho", "snr", "m_min", "m_max", "n_test")
 
 
 def _sim_design(cfg: RunConfig, n: int, seed) -> SimDesign:
-    return SimDesign(
-        n=n,
-        rho=cfg.rho,
-        snr=cfg.snr,
-        m_min=cfg.m_min,
-        m_max=cfg.m_max,
-        seed=seed,
-        n_test=cfg.n_test,
-    )
+    return SimDesign(n=n, seed=seed, **{key: getattr(cfg, key) for key in DESIGN_FIELDS})
 
 
 def _design_record(cfg: RunConfig, *extra) -> dict:
     """The simulation settings written to truth.json and summary.json."""
-    keys = ("rho", "snr", "m_min", "m_max", "seed", "replicates", "n_test") + extra
+    keys = DESIGN_FIELDS + ("seed", "replicates") + extra
     return {key: getattr(cfg, key) for key in keys}
 
 
 def cmd_fit(args) -> int:
     cfg = _config_from_args(args)
     data = SparseFunctionalDataset.from_csv(args.data, response_order=cfg.responses)
-    res = fit_covariance_model(data, _fit_settings(cfg))
+    res = fit_covariance_model(data, cfg)
     save_model(args.out, res.model, res.eig)
 
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
@@ -357,7 +345,6 @@ def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     n_values = cfg.n_values or [cfg.n]
-    settings = _fit_settings(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(len(n_values) * cfg.replicates)
     rows, failures = [], []
     for i, n in enumerate(n_values):
@@ -365,7 +352,7 @@ def cmd_evaluate(args) -> int:
             try:
                 metrics = replicate_metrics(
                     _sim_design(cfg, n, children[i * cfg.replicates + r]),
-                    settings,
+                    cfg,
                     grid_size=cfg.grid_size,
                     compare_zero_cross=cfg.compare_zero_cross,
                 )

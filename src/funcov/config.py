@@ -7,6 +7,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 from .errors import DataFormatError, FuncovError
+from .pipeline import FitSettings
 
 
 def _integer(x) -> bool:
@@ -35,33 +36,22 @@ _FIELD_KINDS = {
 
 
 @dataclass
-class RunConfig:
+class RunConfig(FitSettings):
     """All tunable settings of the command-line workflows.
 
-    Values can come from command-line flags or from a JSON config file;
-    when both are given, the config file wins.
+    A :class:`FitSettings` (the fit's fields and defaults are declared
+    there) plus the prediction, evaluation and simulation settings, so a
+    run config is passed to :func:`fit_covariance_model` as it is. Values
+    can come from command-line flags or from a JSON config file; when
+    both are given, the config file wins.
     """
 
-    # basis
-    order: int = 4
-    n_interior_mean: int = 9
-    n_interior_cov: int = 9
-    # selection grids (None means the package defaults)
-    tau_grid: list | None = None
-    rho_grid: list | None = None
-    w_grid: list | None = None
-    # components
-    pve: float = 0.99
-    npc: int | None = None
+    # prediction and data handling
     level: float = 0.95
-    # data handling
-    domain: tuple | None = None
     responses: list | None = None
     grid_size: int = 101
-    # execution
-    workers: int = 1
-    seed: int = 0
     # simulation design
+    seed: int = 0
     n: int = 100
     n_values: list | None = None
     rho: float = 0.5

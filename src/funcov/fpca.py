@@ -106,27 +106,22 @@ def assemble_blocks(upper: dict, p: int, c: int) -> np.ndarray:
 
 
 def stack_blocks(model: CovarianceModel) -> np.ndarray:
-    """Stacked pc x pc coefficient matrix."""
+    """Stacked pc x pc coefficient matrix: block (k, kp) at rows k*c.. and
+    columns kp*c.."""
     p, c = model.p, model.ws.c
-    out = np.zeros((p * c, p * c))
-    for k in range(p):
-        for kp in range(p):
-            out[k * c : (k + 1) * c, kp * c : (kp + 1) * c] = model.blocks[k, kp]
-    return out
+    return model.blocks.transpose(0, 2, 1, 3).reshape(p * c, p * c)
+
+
+def _sandwich(model: CovarianceModel, root: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """``K S K`` with ``K = kron(I_p, root)``, symmetrized."""
+    K = np.kron(np.eye(model.p), root)
+    M = K @ S @ K
+    return 0.5 * (M + M.T)
 
 
 def whitened_stack(model: CovarianceModel) -> np.ndarray:
     """Stacked matrix with every block whitened by the Gram root."""
-    p, c = model.p, model.ws.c
-    Gh = model.ws.G_half
-    out = np.zeros((p * c, p * c))
-    for k in range(p):
-        for kp in range(k, p):
-            W = Gh @ model.blocks[k, kp] @ Gh
-            out[k * c : (k + 1) * c, kp * c : (kp + 1) * c] = W
-            if kp != k:
-                out[kp * c : (kp + 1) * c, k * c : (k + 1) * c] = W.T
-    return 0.5 * (out + out.T)
+    return _sandwich(model, model.ws.G_half, stack_blocks(model))
 
 
 def eigendecompose(model: CovarianceModel, pve: float = 0.99) -> EigenSystem:
@@ -143,7 +138,9 @@ def eigendecompose(model: CovarianceModel, pve: float = 0.99) -> EigenSystem:
         raise FuncovError("covariance coefficients contain non-finite entries")
     d, U = eigh_desc(M)
     curve = pve_curve(d)
-    npc = _npc_from_curve(curve, pve)
+    # the fewest components whose share reaches pve; 0 when none is positive
+    hits = np.nonzero(curve >= pve - 1e-15)[0]
+    npc = int(hits[0]) + 1 if hits.size else 0
     return EigenSystem(
         d=d, U=U, npc=npc, pve=pve, pve_curve=curve, ws=model.ws, p=model.p
     )
@@ -163,23 +160,6 @@ def pve_curve(d: np.ndarray) -> np.ndarray:
     return np.cumsum(pos) / total if total > 0 else np.zeros_like(d)
 
 
-def _npc_from_curve(curve: np.ndarray, pve: float) -> int:
-    hits = np.nonzero(curve >= pve - 1e-15)[0]
-    return int(hits[0]) + 1 if hits.size else 0
-
-
-def select_npc(eig: EigenSystem, pve: float) -> int:
-    """Smallest component count whose explained-variance share reaches pve."""
-    if not 0.0 < pve <= 1.0:
-        raise FuncovError(f"pve must lie in (0, 1], got {pve}")
-    if eig.d[0] <= 0:
-        raise FuncovError("no positive eigenvalues; cannot select components")
-    npc = _npc_from_curve(eig.pve_curve, pve)
-    if npc == 0:
-        raise FuncovError("explained-variance curve never reaches the target")
-    return npc
-
-
 def refine(model: CovarianceModel, eig: EigenSystem) -> CovarianceModel:
     """Project the fitted blocks onto the PSD cone.
 
@@ -189,20 +169,11 @@ def refine(model: CovarianceModel, eig: EigenSystem) -> CovarianceModel:
     """
     p, c = model.p, model.ws.c
     keep = eig.d > 0
-    dk = eig.d[keep]
-    Gi = model.ws.G_inv_half
-    upper = {}
-    for k in range(p):
-        Uk = eig.U[k * c : (k + 1) * c, keep]
-        for kp in range(k, p):
-            Ukp = eig.U[kp * c : (kp + 1) * c, keep]
-            T = Gi @ ((Uk * dk) @ Ukp.T) @ Gi
-            if kp == k:
-                T = 0.5 * (T + T.T)
-            upper[(k, kp)] = T
-    return replace(
-        model, blocks=assemble_blocks(upper, p, c), refined=True
-    )
+    Uk = eig.U[:, keep]
+    S = _sandwich(model, model.ws.G_inv_half, (Uk * eig.d[keep]) @ Uk.T)
+    # S is exactly symmetric, so blocks[kp, k] is exactly blocks[k, kp].T
+    blocks = S.reshape(p, c, p, c).transpose(0, 2, 1, 3).copy()
+    return replace(model, blocks=blocks, refined=True)
 
 
 def eval_eigenfunction(eig: EigenSystem, ell: int, k: int, times) -> np.ndarray:

@@ -13,13 +13,18 @@ import json
 
 import numpy as np
 
-from .errors import DataFormatError
+from .config import _integer, _list_of, _real
+from .errors import DataFormatError, FuncovError
 from .fpca import CovarianceModel, EigenSystem, pve_curve
 from .mean import MeanFit
 from .splines import build_workspace
 
 FORMAT_NAME = "funcov-model"
 FORMAT_VERSION = 1
+
+_numbers = _list_of(_real)
+_integers = _list_of(_integer)
+_strings = _list_of(lambda x: isinstance(x, str))
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -72,8 +77,29 @@ def save_model(path, model: CovarianceModel, eig: EigenSystem) -> None:
         fh.write("\n")
 
 
+def _field(doc, key, ok, kind):
+    """``doc[key]``; a missing field or one that is not ``kind`` raises."""
+    if key not in doc:
+        raise DataFormatError(f"missing field {key!r}")
+    if not ok(doc[key]):
+        raise DataFormatError(f"{key} must be {kind}, got {doc[key]!r:.60}")
+    return doc[key]
+
+
+def _array(doc, key, shape):
+    """The array field ``key``; a shape other than ``shape`` raises."""
+    arr = _decode_array(_field(doc, key, lambda x: isinstance(x, dict), "an array"))
+    if arr.shape != shape:
+        raise DataFormatError(f"{key} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def load_model(path):
     """Load a model file written by :func:`save_model`.
+
+    A missing field, a field of the wrong type, or an array whose shape
+    disagrees with the response count or a basis size raises
+    :class:`DataFormatError`.
 
     Returns
     -------
@@ -84,42 +110,50 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported model version {doc.get('version')}")
-    domain = (float(doc["domain"][0]), float(doc["domain"][1]))
-    order = int(doc["order"])
-    ws_cov = build_workspace(domain, int(doc["n_interior_cov"]), order)
-    if doc["n_interior_mean"] == doc["n_interior_cov"]:
-        ws_mean = ws_cov
-    else:
-        ws_mean = build_workspace(domain, int(doc["n_interior_mean"]), order)
-    alphas = _decode_array(doc["mean_alphas"])
-    taus = doc["mean_taus"]
-    means = [
-        MeanFit(alpha=alphas[k], tau=float(taus[k]), cv_curve=None, ws=ws_mean)
-        for k in range(alphas.shape[0])
-    ]
-    blocks = _decode_array(doc["blocks"])
-    p = blocks.shape[0]
+    try:
+        return _from_doc(doc)
+    except FuncovError as exc:  # a bad field, or a basis it cannot build
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _is_lambda_entry(x):
+    return isinstance(x, list) and len(x) == 3 and _integers(x[:2]) and _numbers(x[2])
+
+
+def _from_doc(doc):
+    domain = _field(doc, "domain", lambda x: _numbers(x) and len(x) == 2, "two numbers")
+    order = _field(doc, "order", _integer, "an integer")
+    n_cov = _field(doc, "n_interior_cov", _integer, "an integer")
+    n_mean = _field(doc, "n_interior_mean", _integer, "an integer")
+    ws_cov = build_workspace(domain, n_cov, order)
+    ws_mean = ws_cov if n_mean == n_cov else build_workspace(domain, n_mean, order)
+    labels = _field(doc, "response_labels", lambda x: _strings(x) and len(x) > 0,
+                    "a nonempty list of strings")
+    p, c = len(labels), ws_cov.c
+    alphas = _array(doc, "mean_alphas", (p, ws_mean.c))
+    taus = _field(doc, "mean_taus", lambda x: _numbers(x) and len(x) == p, f"{p} numbers")
+    lambdas = _field(doc, "lambdas", _list_of(_is_lambda_entry), "a list of [k, kp, [numbers]]")
     model = CovarianceModel(
-        blocks=blocks,
-        sigma2=_decode_array(doc["sigma2"]),
-        means=means,
+        blocks=_array(doc, "blocks", (p, p, c, c)),
+        sigma2=_array(doc, "sigma2", (p,)),
+        means=[MeanFit(alpha=a, tau=float(t), cv_curve=None, ws=ws_mean)
+               for a, t in zip(alphas, taus)],
         ws=ws_cov,
-        refined=bool(doc["refined"]),
-        lambdas={(int(k), int(kp)): tuple(vals) for k, kp, vals in doc["lambdas"]},
-        response_labels=[str(r) for r in doc["response_labels"]],
+        refined=_field(doc, "refined", lambda x: isinstance(x, bool), "true or false"),
+        lambdas={(k, kp): tuple(vals) for k, kp, vals in lambdas},
+        response_labels=list(labels),
     )
-    d = _decode_array(doc["eigen"]["d"])
-    U = _decode_array(doc["eigen"]["U"])
-    pve = float(doc["eigen"]["pve"])
+    eigen = _field(doc, "eigen", lambda x: isinstance(x, dict), "an object")
+    d = _array(eigen, "d", (p * c,))
     eig = EigenSystem(
         d=d,
-        U=U,
-        npc=int(doc["eigen"]["npc"]),
-        pve=pve,
+        U=_array(eigen, "U", (p * c, p * c)),
+        npc=_field(eigen, "npc", _integer, "an integer"),
+        pve=float(_field(eigen, "pve", _real, "a number")),
         pve_curve=pve_curve(d),
         ws=ws_cov,
         p=p,

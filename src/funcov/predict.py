@@ -203,7 +203,9 @@ def predict_subject(
     obs_times, obs_values : sequences of ndarray, length p
         The subject's observed times and values per response; empty
         arrays mark unobserved responses. A subject observed in no
-        response gets the population mean and prior covariance.
+        response gets the population mean and prior covariance. A
+        non-finite time or value raises :class:`FuncovError`, as in a
+        dataset.
     new_times : array_like
         Grid to predict on, shared across responses.
     npc : int, optional
@@ -225,6 +227,8 @@ def predict_subject(
         v = np.asarray(obs_values[k], dtype=float).ravel()
         if t.size != v.size:
             raise FuncovError(f"times/values mismatch in response {k}")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise FuncovError(f"non-finite observation in response {k}")
         pooled.append((t, v, np.array([t.size])))
     new_times = np.atleast_1d(np.asarray(new_times, dtype=float)).ravel()
     res = _predict(model, eig, pooled, new_times, npc, level, full_cov=True)

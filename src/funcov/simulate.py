@@ -225,63 +225,14 @@ def generate(design: SimDesign):
     return train, truth
 
 
-def true_eigensystem(rho: float, grid_size: int = 501):
-    """Fine-grid discretization of the true covariance operator.
-
-    Builds the stacked kernel matrix on a uniform grid per response,
-    weights it by trapezoid quadrature, and eigendecomposes. Only the
-    numerically nonzero eigenvalues (9 of them) are returned.
-
-    Returns
-    -------
-    d : ndarray, shape (9,)
-        Eigenvalue approximations, descending.
-    psi : ndarray, shape (9, 3, grid_size)
-        Eigenfunction values per response, normalized in the product L2
-        inner product and signed so the largest-magnitude grid value is
-        positive.
-    grid : ndarray, shape (grid_size,)
-    """
-    if grid_size < 500:
-        raise FuncovError("the discretization oracle needs at least 500 points")
+def _trapz_grid(grid_size: int):
+    """Uniform grid on [0, 1] and its trapezoid weights."""
     grid = np.linspace(0.0, 1.0, grid_size)
-    w = np.full(grid_size, grid[1] - grid[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    K = np.zeros((P * grid_size, P * grid_size))
-    for k in range(P):
-        for kp in range(P):
-            K[
-                k * grid_size : (k + 1) * grid_size,
-                kp * grid_size : (kp + 1) * grid_size,
-            ] = true_covariance(rho, k, kp, grid, grid)
-    ws_full = np.tile(w, P)
-    root = np.sqrt(ws_full)
-    M = root[:, None] * K * root[None, :]
-    M = 0.5 * (M + M.T)
-    vals, vecs = np.linalg.eigh(M)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    tol = 1e-8 * max(vals[0], 0.0)
-    nz = int(np.sum(vals > tol))
-    d = vals[:nz]
-    psi = np.empty((nz, P, grid_size))
-    for ell in range(nz):
-        func = vecs[:, ell] / root
-        flat = func.reshape(P, grid_size)
-        if flat.ravel()[np.argmax(np.abs(flat))] < 0:
-            flat = -flat
-        psi[ell] = flat
-    return d, psi, grid
-
-
-def _trapz_weights(grid: np.ndarray) -> np.ndarray:
     w = np.empty_like(grid)
     w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
     w[0] = 0.5 * (grid[1] - grid[0])
     w[-1] = 0.5 * (grid[-1] - grid[-2])
-    return w
+    return grid, w
 
 
 def rise(model, truth: GroundTruth, grid_size: int = 101) -> float:
@@ -290,8 +241,7 @@ def rise(model, truth: GroundTruth, grid_size: int = 101) -> float:
     Sum over all (k, kp) pairs of the integrated squared error, divided
     by the same sum with the estimate replaced by zero.
     """
-    grid = np.linspace(0.0, 1.0, grid_size)
-    w = _trapz_weights(grid)
+    grid, w = _trapz_grid(grid_size)
     W = np.outer(w, w)
     num = 0.0
     den = 0.0
@@ -309,8 +259,7 @@ def ise(eig, truth: GroundTruth, ell: int, grid_size: int = 101) -> float:
 
     Lies in [0, 2] when both the estimate and the truth have unit norm.
     """
-    grid = np.linspace(0.0, 1.0, grid_size)
-    w = _trapz_weights(grid)
+    grid, w = _trapz_grid(grid_size)
     same = 0.0
     flipped = 0.0
     for k in range(P):
@@ -335,8 +284,7 @@ def mise(model, eig, truth: GroundTruth, grid_size: int = 101, npc=None) -> floa
     """
     if truth.test_data is None or truth.test_data.n_subjects == 0:
         raise FuncovError("ground truth carries no test subjects")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    w = _trapz_weights(grid)
+    grid, w = _trapz_grid(grid_size)
     data = truth.test_data
     pred = predict_batch(model, eig, data, grid, npc=npc, level=None)
     total = 0.0
@@ -413,10 +361,5 @@ def zero_cross_blocks(model):
     Predictions from such a model cannot borrow strength across
     responses, which isolates the value of the cross-covariances.
     """
-    blocks = model.blocks.copy()
-    p = model.p
-    for k in range(p):
-        for kp in range(p):
-            if k != kp:
-                blocks[k, kp] = 0.0
-    return replace(model, blocks=blocks)
+    diagonal = np.eye(model.p, dtype=bool)[:, :, None, None]
+    return replace(model, blocks=np.where(diagonal, model.blocks, 0.0))

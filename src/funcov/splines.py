@@ -215,7 +215,3 @@ def eval_basis_matrix(ws: SplineWorkspace, times) -> np.ndarray:
     u = (t - a) / (b - a)
     return ws._basis(u)
 
-
-def eval_basis(ws: SplineWorkspace, t: float) -> np.ndarray:
-    """Basis vector b(t) of length c at a single time."""
-    return eval_basis_matrix(ws, [t])[0]

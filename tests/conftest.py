@@ -5,7 +5,7 @@ import pytest
 
 import funcov
 from funcov.mean import MeanFit
-from funcov.splines import eval_basis
+from funcov.splines import eval_basis_matrix
 
 import oracles
 
@@ -28,6 +28,11 @@ def make_dataset(rng, n=10, p=2, m_range=(2, 5), domain=(0.0, 1.0), labels=None)
     return funcov.SparseFunctionalDataset.from_long(subjects, responses, times, values)
 
 
+def basis_at(ws, t):
+    """Basis vector b(t) of length c at a single time."""
+    return eval_basis_matrix(ws, [t])[0]
+
+
 def spline_mean(ws, alpha):
     """MeanFit with a fixed coefficient vector (no smoothing selection)."""
     return MeanFit(alpha=np.asarray(alpha, dtype=float), tau=1.0, cv_curve=None, ws=ws)
@@ -47,7 +52,7 @@ def dense_aux(data, means, ws, k, kp):
     times_k, resid_k = residuals(k)
     times_kp, resid_kp = residuals(kp)
     return oracles.aux_double_loop(
-        times_k, resid_k, times_kp, resid_kp, lambda t: eval_basis(ws, t), ws.c, auto=k == kp
+        times_k, resid_k, times_kp, resid_kp, lambda t: basis_at(ws, t), ws.c, auto=k == kp
     )
 
 

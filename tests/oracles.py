@@ -289,7 +289,15 @@ def true_kernel(rho, k, kp, s, t):
 
 
 def fine_grid_truth(rho, grid_size=501):
-    """Eigenvalues of the true operator by dense grid discretization."""
+    """Spectrum of the true operator by dense grid discretization.
+
+    Returns ``(vals, psi, grid)``: every eigenvalue of the trapezoid-
+    weighted kernel matrix, descending; the eigenfunctions of the
+    numerically nonzero ones (above 1e-8 of the leading value) as grid
+    values of shape (count, 3, grid_size), orthonormal under the same
+    quadrature in the product L2 inner product and signed so each
+    largest-magnitude value is positive; and the grid.
+    """
     grid = np.linspace(0.0, 1.0, grid_size)
     w = np.full(grid_size, grid[1] - grid[0])
     w[0] *= 0.5
@@ -303,5 +311,9 @@ def fine_grid_truth(rho, grid_size=501):
             ] = true_kernel(rho, k, kp, grid, grid)
     root = np.sqrt(np.tile(w, 3))
     M = root[:, None] * K * root[None, :]
-    vals = np.linalg.eigvalsh(0.5 * (M + M.T))[::-1]
-    return vals, grid
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    nz = int(np.sum(vals > 1e-8 * vals[0]))
+    flat = (vecs[:, :nz] / root[:, None]).T
+    flat *= np.sign(flat[np.arange(nz), np.abs(flat).argmax(axis=1)])[:, None]
+    return vals, flat.reshape(nz, 3, grid_size), grid

@@ -26,9 +26,10 @@ from funcov import (
 )
 from funcov.cli import main as cli_main
 from funcov.covsmooth import build_aux, fit_auto, fit_cross
-from funcov.crossval import loso_shortcut_error, select_grid
+from funcov.crossval import select_grid
 from funcov.fpca import eval_covariance, eval_eigenfunction
-from funcov.simulate import true_covariance, true_eigensystem
+from funcov.mean import loso_curve
+from funcov.simulate import true_covariance
 
 import oracles
 from conftest import dense_aux, make_dataset, make_psd_model, spline_mean, zero_means
@@ -124,16 +125,19 @@ def test_criterion_01_fast_selection_equals_direct_and_is_faster():
 
 
 def test_criterion_02_loso_shortcut_equals_literal_refits():
-    desc = "leave-one-subject-out shortcut equals literal refits"
+    desc = "the mean's leave-one-subject-out curve equals literal refits"
     with criterion(2, desc):
+        taus = np.array([0.1, 1.0, 10.0])
         for seed in range(5):
             X, y, slices = random_instance(200 + seed, n=12, m_max=3, q=9)
+            counts = np.array([stop - start for start, stop in slices])
             rng = np.random.default_rng(seed)
             A0 = rng.standard_normal((9, 9))
             penalty = A0 @ A0.T + 0.05 * np.eye(9)
-            fast = loso_shortcut_error(X, y, slices, X.T @ X + penalty)
-            literal = oracles.literal_loso(X, y, slices, penalty)
-            assert fast == pytest.approx(literal, rel=1e-8)
+            curve = loso_curve(X, y, counts, X.T @ X, penalty, taus)
+            for tau, fast in zip(taus, curve):
+                literal = oracles.literal_loso(X, y, slices, tau * penalty)
+                assert fast == pytest.approx(literal, rel=1e-8)
 
 
 def test_criterion_03_block_solvers_match_dense_ridge():
@@ -241,17 +245,15 @@ def test_criterion_05_refined_models_are_psd_with_bounded_correlation(study, sma
 def test_criterion_06_true_design_spectrum():
     desc = "true design: component shares, exactly nine components, PSD operator"
     with criterion(6, desc):
-        vals9, _ = oracles.fine_grid_truth(0.9)
+        vals9, _, _ = oracles.fine_grid_truth(0.9)
         share9 = vals9[:2].sum() / vals9[:9].sum()
         assert abs(share9 - 0.80) <= 0.05
-        vals5, _ = oracles.fine_grid_truth(0.5)
+        vals5, _, _ = oracles.fine_grid_truth(0.5)
         share5 = vals5[:2].sum() / vals5[:9].sum()
         assert abs(share5 - 0.60) <= 0.05
 
         for vals in (vals9, vals5):
             assert int(np.sum(vals > 1e-8 * vals[0])) == 9
-        d, _, _ = true_eigensystem(0.9)
-        assert d.size == 9
 
         grid = np.linspace(0.0, 1.0, 40)
         for rho in (0.5, 0.9):

@@ -1,5 +1,6 @@
 """Command-line workflows: fit, predict, simulate, evaluate."""
 
+import base64
 import csv
 import json
 import re
@@ -292,6 +293,59 @@ def test_predict_zero_model_returns_means(tmp_path, capsys):
         assert float(row[5]) == expected[k][j] and float(row[6]) == expected[k][j]
     # no components, so no score rows
     assert read_rows(tmp_path / "pred.scores.csv") == [["subject", "component", "score"]]
+
+
+def _drop(doc, key):
+    del doc[key]
+
+
+def _array_field(key, shape, where=None):
+    def edit(doc):
+        target = doc if where is None else doc[where]
+        target[key] = {
+            "shape": list(shape),
+            "data": base64.b64encode(np.zeros(shape).tobytes()).decode("ascii"),
+        }
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: _drop(doc, "domain"), id="no-domain"),
+        pytest.param(lambda doc: _drop(doc, "order"), id="no-order"),
+        pytest.param(lambda doc: _drop(doc, "eigen"), id="no-eigen"),
+        pytest.param(lambda doc: _drop(doc, "mean_taus"), id="no-mean-taus"),
+        pytest.param(lambda doc: _drop(doc, "lambdas"), id="no-lambdas"),
+        pytest.param(lambda doc: _drop(doc["eigen"], "U"), id="no-eigen-U"),
+        pytest.param(lambda doc: doc.update(domain="ab"), id="domain-string"),
+        pytest.param(lambda doc: doc.update(domain=[1.0, 0.0]), id="domain-reversed"),
+        pytest.param(lambda doc: doc.update(order="4"), id="order-string"),
+        pytest.param(lambda doc: doc["eigen"].update(npc=1.5), id="npc-float"),
+        pytest.param(lambda doc: doc.update(n_interior_cov=1), id="cov-basis-vs-blocks"),
+        pytest.param(lambda doc: doc.update(n_interior_mean=1), id="mean-basis-vs-alphas"),
+        pytest.param(lambda doc: doc.update(response_labels=["y1"]), id="labels-vs-blocks"),
+        pytest.param(lambda doc: doc.update(mean_taus=[1.0]), id="taus-vs-p"),
+        pytest.param(_array_field("blocks", (2, 2, 6)), id="blocks-3d"),
+        pytest.param(_array_field("sigma2", (3,)), id="sigma2-vs-p"),
+        pytest.param(_array_field("mean_alphas", (1, 6)), id="alphas-vs-p"),
+        pytest.param(_array_field("d", (11,), "eigen"), id="d-vs-pc"),
+        pytest.param(_array_field("U", (12, 11), "eigen"), id="U-vs-pc"),
+    ],
+)
+def test_malformed_model_file_is_a_data_format_error(tmp_path, capsys, edit):
+    _, _, model_path = prediction_model(tmp_path)
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    query = write_query(tmp_path, [["a", "y1", "0.5", "1.0"]])
+    code, captured = run_fail(
+        capsys,
+        ["predict", "--model", str(model_path), "--data", str(query),
+         "--out", str(tmp_path / "pred.csv")],
+    )
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "data-format"
 
 
 def test_predict_empty_query(tmp_path, capsys):

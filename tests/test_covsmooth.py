@@ -11,10 +11,11 @@ from funcov import FuncovError, SingularSystemError, build_workspace
 from funcov import covsmooth
 from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross
 from funcov.crossval import GridSelector
-from funcov.splines import duplication_matrix, eval_basis, eval_basis_matrix
+from funcov.splines import duplication_matrix, eval_basis_matrix
 
 import oracles
 from conftest import (
+    basis_at,
     dense_aux,
     make_dataset,
     pair_mask,
@@ -76,7 +77,7 @@ def test_products_match_double_loop_oracle():
     resid_k = [data.obs(i, 0)[1] for i in range(data.n_subjects)]
     times_kp = [data.obs(i, 1)[0] for i in range(data.n_subjects)]
     resid_kp = [data.obs(i, 1)[1] for i in range(data.n_subjects)]
-    basis = lambda t: eval_basis(ws, t)
+    basis = lambda t: basis_at(ws, t)
     m_k = np.array([t.size for t in times_k])
     m_kp = np.array([t.size for t in times_kp])
 
@@ -143,7 +144,7 @@ def test_hand_enumerated_ordering():
     np.testing.assert_array_equal(block.C, [[[10.0, 14.0, 22.0], [15.0, 21.0, 33.0]]])
     # row (j1, j2) evaluates the surface at (t_j1 of response 1, t_j2 of 2)
     theta = np.arange(ws.c**2, dtype=float).reshape(ws.c, ws.c)
-    surf = lambda s, t: eval_basis(ws, s) @ theta @ eval_basis(ws, t)
+    surf = lambda s, t: basis_at(ws, s) @ theta @ basis_at(ws, t)
     expect = [surf(s, t) for t in (0.1, 0.5, 0.9) for s in (0.2, 0.8)]
     np.testing.assert_allclose(
         design_rows(block) @ theta.ravel(order="F"), expect, rtol=0, atol=1e-12

@@ -6,13 +6,11 @@ import pytest
 import funcov
 from funcov import FuncovError, build_workspace
 from funcov.fpca import (
-    PVE_ZERO_TOL,
     assemble_blocks,
     eigendecompose,
     eval_covariance,
     eval_eigenfunction,
     refine,
-    select_npc,
     stack_blocks,
     whitened_stack,
 )
@@ -68,8 +66,6 @@ def test_zero_blocks_zero_spectrum():
     np.testing.assert_array_equal(eig.d, np.zeros_like(eig.d))
     np.testing.assert_array_equal(eig.pve_curve, np.zeros_like(eig.d))
     assert eig.npc == 0
-    with pytest.raises(FuncovError, match="no positive eigenvalues"):
-        select_npc(eig, 0.9)
 
 
 def test_mercer_reconstruction_psd_model():
@@ -136,37 +132,44 @@ def test_eigenfunction_sign_convention_and_linearity():
     np.testing.assert_array_equal(eval_eigenfunction(eig2, 2, 1, grid), -base)
 
 
+def spectrum_model(d):
+    """p = 1 model whose whitened stack has the spectrum d (zero-padded to
+    the basis size c = max(4, len(d)))."""
+    ws = build_workspace((0.0, 1.0), max(1, len(d) - 3), 3)
+    diag = np.zeros(ws.c)
+    diag[: len(d)] = d
+    Gi = ws.G_inv_half
+    return funcov.CovarianceModel(
+        blocks=(Gi @ np.diag(diag) @ Gi)[None, None],
+        sigma2=np.array([0.1]),
+        means=zero_means(ws, 1),
+        ws=ws,
+        refined=False,
+        lambdas={},
+        response_labels=["y1"],
+    )
+
+
 def test_select_npc_hand_cases():
-    ws = build_workspace((0.0, 1.0), 1, 3)
+    # the component count eigendecompose picks for a requested share
+    def npc(d, pve):
+        return eigendecompose(spectrum_model(d), pve).npc
 
-    def eig_with(d, pve=0.99):
-        d = np.asarray(d, dtype=float)
-        pos = np.where(d > PVE_ZERO_TOL * d[0], np.maximum(d, 0.0), 0.0)
-        curve = np.cumsum(pos) / pos.sum()
-        return funcov.EigenSystem(
-            d=d, U=np.eye(d.size), npc=0, pve=pve, pve_curve=curve, ws=ws, p=1
-        )
-
-    assert select_npc(eig_with([1.0, 0.0, 0.0]), 0.99) == 1
-    assert select_npc(eig_with([3.0, 1.5, 0.75]), 0.5) == 1
-    assert select_npc(eig_with([3.0, 1.5, 0.75]), 0.99) == 3
+    assert npc([1.0, 0.0, 0.0], 0.99) == 1
+    assert npc([3.0, 1.5, 0.75], 0.5) == 1
+    assert npc([3.0, 1.5, 0.75], 0.99) == 3
     # boundary: pve exactly at a cumulative share picks that component
-    assert select_npc(eig_with([1.0, 1.0, 2.0][::-1]), 0.5) == 1
+    assert npc([1.0, 1.0, 2.0][::-1], 0.5) == 1
     with pytest.raises(FuncovError):
-        select_npc(eig_with([1.0, 0.5]), 1.5)
+        npc([1.0, 0.5], 1.5)
 
 
 def test_select_npc_truth_share():
     # the rho=0.9 design needs exactly two components for an 0.80 share
-    d_true, _, _ = funcov.true_eigensystem(0.9)
-    ws = build_workspace((0.0, 1.0), 1, 3)
-    d = np.concatenate([d_true, np.zeros(3)])
-    pos = np.where(d > PVE_ZERO_TOL * d[0], d, 0.0)
-    curve = np.cumsum(pos) / pos.sum()
-    eig = funcov.EigenSystem(
-        d=d, U=np.eye(d.size), npc=0, pve=0.8, pve_curve=curve, ws=ws, p=3
-    )
-    assert select_npc(eig, 0.80) == 2
+    d_true = np.linalg.eigvalsh(funcov.coupling_matrix(0.9))[::-1]
+    eig = eigendecompose(spectrum_model(d_true), 0.80)
+    np.testing.assert_allclose(eig.d[:9], d_true, rtol=1e-12)
+    assert eig.npc == 2
 
 
 def test_refine_noop_on_psd_model():

@@ -296,6 +296,21 @@ def test_validation_errors():
         predict_subject(model, eig, [np.array([0.5, 0.6]), np.zeros(0)], good_v, [0.5])
 
 
+@pytest.mark.parametrize(
+    "times, values",
+    [([0.3, 0.6], [1.0, np.nan]), ([0.3, 0.6], [np.inf, 1.0]), ([0.3, np.nan], [1.0, 2.0])],
+)
+def test_non_finite_observation_is_rejected(times, values):
+    # one non-finite time or value used to give all-NaN curves and scores;
+    # a dataset rejects the same input
+    model = make_psd_model(seed=43, p=2)
+    eig = eigendecompose(model)
+    obs_t = [np.zeros(0), np.array(times)]
+    obs_v = [np.zeros(0), np.array(values)]
+    with pytest.raises(FuncovError, match="non-finite"):
+        predict_subject(model, eig, obs_t, obs_v, [0.5])
+
+
 def dense_condition(model, obs_t, obs_v, new_t):
     """Direct joint-Gaussian conditioning of one subject, every covariance
     materialized; ``new_t[k]`` lists the new times of response k."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import funcov
-from funcov import FuncovError, SimDesign, generate, true_eigensystem
+from funcov import FuncovError, SimDesign, generate
 from funcov.fpca import eigendecompose, eval_covariance, eval_eigenfunction
 from funcov.simulate import (
     LAMBDA,
@@ -72,14 +72,15 @@ def test_coupling_matrix_structure():
 
 def test_true_eigensystem_frozen_values():
     for rho, frozen in ((0.0, D_RHO_0), (0.5, D_RHO_05), (0.9, D_RHO_09)):
-        d, psi, grid = true_eigensystem(rho)
+        vals, psi, _ = oracles.fine_grid_truth(rho)
+        d = vals[: psi.shape[0]]  # the numerically nonzero eigenvalues
         assert d.shape == (9,)
         assert np.all(d > 0)
         np.testing.assert_allclose(d, frozen, rtol=0, atol=1e-9)
         assert d.sum() == pytest.approx(16.5, abs=1e-10)
     # rho=0 eigenvalues are exactly the sorted variances
-    d0, _, _ = true_eigensystem(0.0)
-    np.testing.assert_allclose(d0, np.sort(LAMBDA.ravel())[::-1], atol=1e-12)
+    d0, _, _ = oracles.fine_grid_truth(0.0)
+    np.testing.assert_allclose(d0[:9], np.sort(LAMBDA.ravel())[::-1], atol=1e-12)
 
 
 def test_top_two_share_claims():
@@ -94,9 +95,10 @@ def test_top_two_share_claims():
 
 
 def test_truth_matches_independent_grid_oracle():
+    # the exact spectrum is the coupling matrix's
     for rho in (0.0, 0.5, 0.9):
-        d, _, _ = true_eigensystem(rho)
-        vals, _ = oracles.fine_grid_truth(rho)
+        d = np.linalg.eigvalsh(coupling_matrix(rho))[::-1]
+        vals, _, _ = oracles.fine_grid_truth(rho)
         np.testing.assert_allclose(d, vals[:9], rtol=0, atol=1e-6)
         assert np.max(np.abs(vals[9:])) < 1e-8
 
@@ -147,7 +149,8 @@ def test_stacked_operator_psd():
 
 
 def test_eigenfunctions_orthonormal_and_mercer():
-    d, psi, grid = true_eigensystem(0.9)
+    vals, psi, grid = oracles.fine_grid_truth(0.9)
+    d = vals[: psi.shape[0]]
     w = np.full(grid.size, grid[1] - grid[0])
     w[0] *= 0.5
     w[-1] *= 0.5

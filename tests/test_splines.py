@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from funcov import DomainError, FuncovError, build_workspace
-from funcov.splines import diff_matrix, duplication_matrix, eval_basis, eval_basis_matrix
+from funcov.splines import diff_matrix, duplication_matrix, eval_basis_matrix
 
 import oracles
+from conftest import basis_at
 
 
 def test_dimension_cubic_nine_interior():
@@ -28,7 +29,7 @@ def test_knots_clamped_equally_spaced():
 
 def test_basis_row_left_boundary():
     ws = build_workspace((0.0, 1.0), 9, 4)
-    row = eval_basis(ws, 0.0)
+    row = basis_at(ws, 0.0)
     expected = np.zeros(13)
     expected[0] = 1.0
     np.testing.assert_array_equal(row, expected)
@@ -36,7 +37,7 @@ def test_basis_row_left_boundary():
 
 def test_basis_row_right_boundary():
     ws = build_workspace((0.0, 1.0), 9, 4)
-    row = eval_basis(ws, 1.0)
+    row = basis_at(ws, 1.0)
     assert row[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(row[:-1] == pytest.approx(0.0, abs=1e-12))
 
@@ -44,7 +45,7 @@ def test_basis_row_right_boundary():
 def test_basis_value_frozen_point():
     # Cubic basis with 9 interior knots on [0, 1], evaluated at t = 0.37.
     ws = build_workspace((0.0, 1.0), 9, 4)
-    row = eval_basis(ws, 0.37)
+    row = basis_at(ws, 0.37)
     nz = np.nonzero(row)[0]
     np.testing.assert_array_equal(nz, [3, 4, 5, 6])
     frozen = [
@@ -171,7 +172,7 @@ def test_vec_identity():
     theta = rng.standard_normal((ws.c, ws.c))
     for _ in range(20):
         s, t = rng.random(2)
-        bs, bt = eval_basis(ws, s), eval_basis(ws, t)
+        bs, bt = basis_at(ws, s), basis_at(ws, t)
         lhs = bs @ theta @ bt
         rhs = np.kron(bt, bs) @ theta.ravel(order="F")
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -217,9 +218,9 @@ def test_eval_out_of_domain_raises():
     with pytest.raises(DomainError):
         eval_basis_matrix(ws, [0.5, 1.0 + 1e-9])
     with pytest.raises(DomainError):
-        eval_basis(ws, -0.1)
+        basis_at(ws, -0.1)
     with pytest.raises(DomainError):
-        eval_basis(ws, np.nan)
+        basis_at(ws, np.nan)
 
 
 def test_out_of_domain_message_names_a_plain_float():
