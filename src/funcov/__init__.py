@@ -2,9 +2,11 @@
 sparse functional data.
 
 The model represents each auto- and cross-covariance surface with a
-penalized tensor-product spline; smoothing parameters are selected by an
-exact leave-one-subject-out criterion evaluated without refitting. The
-fitted operator is eigendecomposed, projected onto the PSD cone, and
+penalized tensor-product spline. Smoothing parameters are selected by
+leave-one-subject-out criteria evaluated without refitting: the exact
+one for each mean, and for each covariance block its first-order
+expansion, computed over the whole grid from per-subject sufficient
+statistics. The fitted operator is eigendecomposed, projected onto the PSD cone, and
 used for best linear prediction of subject curves with pointwise bands.
 """
 

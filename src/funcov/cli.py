@@ -26,6 +26,7 @@ import csv
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -76,8 +77,9 @@ def _add_fit_flags(sp):
     sp.add_argument(
         "--workers",
         type=int,
-        help="threads for a fit's independent mean and covariance-block tasks; "
-        "pays only with single-threaded BLAS (evaluate runs replicates in order)",
+        help="threads for a fit's independent mean and covariance-block tasks "
+        "(default: usable cores // BLAS threads, 1 when BLAS threads are unset; "
+        "evaluate runs replicates in order)",
     )
     sp.add_argument("--grid-size", dest="grid_size", type=int)
 
@@ -183,32 +185,29 @@ def cmd_fit(args) -> int:
     a, b = res.model.ws.domain
     grid = np.linspace(a, b, cfg.grid_size)
     labels = res.model.response_labels
+    # each cell's text is formatted once, from Python floats
+    times = [repr(t) for t in grid.tolist()]
     with open(f"{stem}.eigenfunctions.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["response", "component", "time", "value"])
         for ell in range(res.npc):
             for k, label in enumerate(labels):
-                vals = eval_eigenfunction(res.eig, ell, k, grid)
-                for t, v in zip(grid, vals):
-                    writer.writerow([label, ell + 1, _fmt(float(t)), _fmt(float(v))])
+                vals = eval_eigenfunction(res.eig, ell, k, grid).tolist()
+                writer.writerows(zip(repeat(label), repeat(ell + 1), times, map(repr, vals)))
     with open(f"{stem}.correlations.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["response_i", "response_j", "s", "t", "value"])
-        diag = [
-            np.sqrt(np.clip(np.diag(eval_covariance(res.model, k, k, grid, grid)), 0, None))
-            for k in range(len(labels))
-        ]
+        autos = [eval_covariance(res.model, k, k, grid, grid) for k in range(len(labels))]
+        diag = [np.sqrt(np.clip(np.diag(surf), 0, None)) for surf in autos]
+        s_col, t_col = [s for s in times for _ in times], times * len(times)
         for k, lk in enumerate(labels):
             for kp, lkp in enumerate(labels):
-                surf = eval_covariance(res.model, k, kp, grid, grid)
+                surf = autos[k] if k == kp else eval_covariance(res.model, k, kp, grid, grid)
                 denom = np.outer(diag[k], diag[kp])
                 with np.errstate(divide="ignore", invalid="ignore"):
                     corr = np.where(denom > 0, surf / denom, np.nan)
-                for i_s, s_val in enumerate(grid):
-                    for j_t, t_val in enumerate(grid):
-                        writer.writerow(
-                            [lk, lkp, _fmt(float(s_val)), _fmt(float(t_val)), _fmt(float(corr[i_s, j_t]))]
-                        )
+                cells = map(repr, corr.ravel().tolist())
+                writer.writerows(zip(repeat(lk), repeat(lkp), s_col, t_col, cells))
     print(
         json.dumps(
             {

@@ -63,10 +63,11 @@ class RunConfig(FitSettings):
     compare_zero_cross: bool = False
 
     def validate(self) -> "RunConfig":
+        none_by_default = {f.name for f in fields(self) if f.default is None}
         for kind, (ok, names) in _FIELD_KINDS.items():
             for name in names.split():
                 value = getattr(self, name)
-                if not ok(value) and not (value is None and getattr(RunConfig, name) is None):
+                if not ok(value) and not (value is None and name in none_by_default):
                     raise FuncovError(f"{name} must be {kind}, got {value!r}")
         if self.order < 1:
             raise FuncovError("order must be >= 1")

@@ -91,15 +91,17 @@ def _array(doc, key, shape):
     arr = _decode_array(_field(doc, key, lambda x: isinstance(x, dict), "an array"))
     if arr.shape != shape:
         raise DataFormatError(f"{key} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise DataFormatError(f"{key} holds a non-finite value")
     return arr
 
 
 def load_model(path):
     """Load a model file written by :func:`save_model`.
 
-    A missing field, a field of the wrong type, or an array whose shape
-    disagrees with the response count or a basis size raises
-    :class:`DataFormatError`.
+    A missing field, a field of the wrong type, an array whose shape
+    disagrees with the response count or a basis size, or an array with a
+    non-finite value raises :class:`DataFormatError`.
 
     Returns
     -------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,6 +22,32 @@ from .mean import fit_mean
 from .splines import build_workspace
 
 
+# The variables OpenBLAS reads for its thread count, in the order it reads them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def default_workers() -> int:
+    """The fit's default thread count: usable cores // BLAS threads, at least 1.
+
+    The usable cores are this process's CPU affinity (the CPU count where
+    affinity is unavailable). The BLAS thread count is the first positive
+    integer among :data:`BLAS_THREAD_VARS`; with none set BLAS takes every
+    core, which leaves one worker, the serial fit.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cores // blas)
+    return 1
+
+
 @dataclass
 class FitSettings:
     """Knobs of the fitting pipeline.
@@ -28,8 +55,11 @@ class FitSettings:
     ``tau_grid``, ``rho_grid`` and ``w_grid`` default to the module-level
     grids when None. ``domain`` defaults to the observed time range.
     ``workers`` is the thread count for the fit's independent tasks: the
-    per-response means, then the covariance blocks. It pays only when BLAS
-    runs single-threaded; every result is the same at any count.
+    per-response means, then the covariance blocks. Every result is the
+    same at any count. It defaults to :func:`default_workers`, worked out
+    when the settings are built, so that pool threads and BLAS threads
+    together fill the usable cores without competing for them. A caller
+    that fits from several threads of its own should pass ``workers=1``.
     """
 
     order: int = 4
@@ -41,7 +71,7 @@ class FitSettings:
     pve: float = 0.99
     npc: int | None = None
     domain: tuple | None = None
-    workers: int = 1
+    workers: int = field(default_factory=default_workers)
 
 
 @dataclass

@@ -510,6 +510,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         '{"pve": "x"}',
         '{"rho_grid": 5}',
         '{"npc": 2.5}',
+        '{"workers": null}',
     ],
 )
 def test_config_value_of_wrong_type_or_shape_is_invalid(tmp_path, capsys, entry):

@@ -455,7 +455,9 @@ def test_selection_cost_scales_linearly_in_subjects():
     # eigendecomposition cost the same at any n and would dilute the ratio.
     # Small and big runs alternate, so a slow spell of the host hits both.
     # Each timed call prices 32 rho (tens of ms), so that waking a
-    # multithreaded BLAS's idle threads is small against the work.
+    # multithreaded BLAS's idle threads is small against the work. The
+    # clock is this process's CPU time, which another process holding a
+    # core does not inflate the way it does wall time.
     def stage(X, y, slices):
         stats = oracles.row_statistics(X, y, slices)
         return GridSelector(*stats, P).for_weights((1.0,))
@@ -463,9 +465,9 @@ def test_selection_cost_scales_linearly_in_subjects():
     rhos = np.logspace(-1.0, 2.0, 32)
 
     def run_once(st):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         st.score_all(rhos)
-        return time.perf_counter() - t0
+        return time.process_time() - t0
 
     n = 400
     small = stage(*build(n, 0))

@@ -141,3 +141,30 @@ def test_load_rejects_corrupt_arrays(tmp_path):
     mismatched.write_text(json.dumps(doc_bad))
     with pytest.raises(DataFormatError, match="bad array field"):
         load_model(mismatched)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key, index",
+    [
+        ("blocks", (0, 1, 2, 0)),
+        ("sigma2", (0,)),
+        ("mean_alphas", (1, 3)),
+        ("eigen.d", (4,)),
+        ("eigen.U", (0, 0)),
+    ],
+)
+def test_load_rejects_non_finite_arrays(tmp_path, key, index, bad):
+    model, eig = example_model()
+    path = tmp_path / "model.json"
+    save_model(path, model, eig)
+    doc = json.loads(path.read_text())
+    *parent, name = key.split(".")
+    target = doc[parent[0]] if parent else doc
+    arr = np.frombuffer(base64.b64decode(target[name]["data"]), dtype="<f8").copy()
+    arr = arr.reshape(target[name]["shape"])
+    arr[index] = bad
+    target[name]["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"{name} holds a non-finite value"):
+        load_model(path)
