@@ -145,26 +145,25 @@ def test_load_rejects_corrupt_arrays(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "key, index",
+    "where, key, index",
     [
-        ("blocks", (0, 1, 2, 0)),
-        ("sigma2", (0,)),
-        ("mean_alphas", (1, 3)),
-        ("eigen.d", (4,)),
-        ("eigen.U", (0, 0)),
+        (None, "blocks", (0, 1, 2, 0)),
+        (None, "sigma2", (0,)),
+        (None, "mean_alphas", (1, 3)),
+        ("eigen", "d", (4,)),
+        ("eigen", "U", (0, 0)),
     ],
 )
-def test_load_rejects_non_finite_arrays(tmp_path, key, index, bad):
+def test_load_rejects_non_finite_arrays(tmp_path, where, key, index, bad):
     model, eig = example_model()
     path = tmp_path / "model.json"
     save_model(path, model, eig)
     doc = json.loads(path.read_text())
-    *parent, name = key.split(".")
-    target = doc[parent[0]] if parent else doc
-    arr = np.frombuffer(base64.b64decode(target[name]["data"]), dtype="<f8").copy()
-    arr = arr.reshape(target[name]["shape"])
+    field = (doc if where is None else doc[where])[key]
+    arr = np.frombuffer(base64.b64decode(field["data"]), dtype="<f8").reshape(field["shape"])
+    arr = arr.copy()
     arr[index] = bad
-    target[name]["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    field["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataFormatError, match=f"{name} holds a non-finite value"):
+    with pytest.raises(DataFormatError, match=f"{key} holds a non-finite value"):
         load_model(path)
