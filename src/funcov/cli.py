@@ -37,7 +37,7 @@ from .errors import DataFormatError, DomainError, FuncovError
 from .fpca import eval_covariance, eval_eigenfunction
 from .model_io import load_model, save_model
 from .pipeline import fit_covariance_model
-from .predict import _predict
+from .predict import predict_batch
 from .simulate import (
     SimDesign,
     coupling_matrix,
@@ -59,13 +59,6 @@ def _fail(kind: str, message: str, detail=None, code: int = 1):
         payload["detail"] = detail
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     raise SystemExit(code)
-
-
-def _fmt(x) -> str:
-    """Deterministic shortest round-trip formatting for CSV cells."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _add_fit_flags(sp):
@@ -241,63 +234,63 @@ def cmd_predict(args) -> int:
         score_writer.writerow(["subject", "component", "score"])
         if data is None:
             return 0
-        p, n = model.p, data.n_subjects
+        n, labels = data.n_subjects, model.response_labels
         # observations outside the fitted domain are dropped and reported
-        pooled, owners, dropped = [], [], [[] for _ in range(n)]
-        for k in range(p):
-            t, v, counts = data.pooled(k)
-            owner = np.repeat(np.arange(n), counts)
-            ok = (t >= a) & (t <= b)
-            for i, t_bad in zip(owner[~ok], t[~ok]):
-                dropped[i].append((k, float(t_bad)))
-            pooled.append((t[ok], v[ok], np.bincount(owner[ok], minlength=n)))
-            owners.append(owner[ok])
+        times_in, values_in, dropped = [], [], []
+        for i in range(n):
+            t_row, v_row, out = [], [], []
+            for k, label in enumerate(labels):
+                t, v = data.obs(i, k)
+                ok = (t >= a) & (t <= b)
+                t_row.append(t[ok])
+                v_row.append(v[ok])
+                out += [(label, repr(x)) for x in t[~ok].tolist()]
+            times_in.append(t_row)
+            values_in.append(v_row)
+            dropped.append(out)
+        in_domain = SparseFunctionalDataset(data.subjects, data.responses, times_in, values_in)
         grid = np.linspace(a, b, cfg.grid_size) if mode == "grid" else None
-        pred = _predict(model, eig, pooled, grid, cfg.npc, cfg.level, full_cov=False)
-        # each subject's rows of the pooled observed-time output
-        owners = np.concatenate(owners)
-        ends = np.cumsum(np.bincount(owners, minlength=n))
-        subject_rows = np.split(np.argsort(owners, kind="stable"), ends[:-1])
+        pred = predict_batch(model, eig, in_domain, grid, cfg.npc, cfg.level)
+        scores = pred.scores.tolist()
+        if grid is not None:
+            grid_cells = list(map(repr, grid.tolist()))
+            columns = [x.tolist() for x in (pred.xhat, pred.var, pred.lower, pred.upper)]
+        else:
+            # each subject's rows of the pooled observed-time output
+            owners = np.concatenate(
+                [np.repeat(np.arange(n), in_domain.pooled(k)[2]) for k in range(model.p)]
+            )
+            ends = np.cumsum(np.bincount(owners, minlength=n))
+            subject_rows = np.split(np.argsort(owners, kind="stable"), ends[:-1])
+        reason = f"time outside fitted domain [{a!r}, {b!r}]"
         for i, subject in enumerate(data.subjects):
             if grid is not None:
-                new_times = grid
-                xhat, var, lower, upper = pred.xhat[i], pred.var[i], pred.lower[i], pred.upper[i]
+                time_cells, cells = grid_cells, [x[i] for x in columns]
             else:
                 rows = subject_rows[i]
                 new_times, first = np.unique(pred.times[rows], return_index=True)
                 cols = rows[first]
-                xhat, var = pred.xhat[:, cols], pred.var[:, cols]
-                lower, upper = pred.lower[:, cols], pred.upper[:, cols]
-            if new_times.size:
-                for k, label in enumerate(model.response_labels):
-                    for j, t in enumerate(new_times):
-                        writer.writerow(
-                            [
-                                subject,
-                                label,
-                                _fmt(float(t)),
-                                _fmt(float(xhat[k, j])),
-                                _fmt(float(var[k, j])),
-                                _fmt(float(lower[k, j])),
-                                _fmt(float(upper[k, j])),
-                                "",
-                            ]
+                time_cells = list(map(repr, new_times.tolist()))
+                cells = [
+                    x[:, cols].tolist() for x in (pred.xhat, pred.var, pred.lower, pred.upper)
+                ]
+            if time_cells:
+                for k, label in enumerate(labels):
+                    writer.writerows(
+                        zip(
+                            repeat(subject),
+                            repeat(label),
+                            time_cells,
+                            *(map(repr, x[k]) for x in cells),
+                            repeat(""),
                         )
-                for ell, value in enumerate(pred.scores[i]):
-                    score_writer.writerow([subject, ell + 1, _fmt(float(value))])
-            for k, t_bad in dropped[i]:
-                writer.writerow(
-                    [
-                        subject,
-                        model.response_labels[k],
-                        _fmt(t_bad),
-                        "",
-                        "",
-                        "",
-                        "",
-                        f"time outside fitted domain [{a!r}, {b!r}]",
-                    ]
+                    )
+                score_writer.writerows(
+                    zip(repeat(subject), range(1, len(scores[i]) + 1), map(repr, scores[i]))
                 )
+            writer.writerows(
+                [subject, label, t, "", "", "", "", reason] for label, t in dropped[i]
+            )
     return 0
 
 
@@ -367,7 +360,7 @@ def cmd_evaluate(args) -> int:
         for n, r, m in rows:
             writer.writerow(
                 [n, r]
-                + [_fmt(float(m[c])) if c in m else "" for c in METRIC_COLUMNS]
+                + [repr(float(m[c])) if c in m else "" for c in METRIC_COLUMNS]
             )
 
     per_n = []

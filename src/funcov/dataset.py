@@ -24,6 +24,11 @@ class SparseFunctionalDataset:
     follows first appearance in the input; response order is the sorted
     label order unless an explicit ordering is supplied. Within a subject
     and response the input row order is preserved.
+
+    Each response is stored once, as the pooled ``(times, values,
+    counts)`` arrays :meth:`pooled` returns; they are read-only. A
+    dataset may hold no observations at all; :meth:`time_range`, and so
+    a fit, rejects it.
     """
 
     def __init__(self, subjects, responses, times, values):
@@ -35,7 +40,7 @@ class SparseFunctionalDataset:
             Subject labels, one per subject.
         responses : list of str
             Response labels, one per response.
-        times, values : list of list of ndarray
+        times, values : list of list of array_like
             ``times[i][k]`` holds subject i's observation times in
             response k (possibly empty), ``values[i][k]`` the matching
             values.
@@ -46,31 +51,40 @@ class SparseFunctionalDataset:
             raise FuncovError("duplicate subject labels")
         if len(set(self.responses)) != len(self.responses):
             raise FuncovError("duplicate response labels")
-        self._times = [
-            [np.asarray(t, dtype=float).ravel() for t in row] for row in times
-        ]
-        self._values = [
-            [np.asarray(v, dtype=float).ravel() for v in row] for row in values
-        ]
-        if len(self._times) != len(self.subjects) or len(self._values) != len(self.subjects):
+        n, p = len(self.subjects), len(self.responses)
+        if len(times) != n or len(values) != n:
             raise FuncovError("times/values do not match the subject list")
-        total = 0
-        for i in range(len(self.subjects)):
-            if len(self._times[i]) != len(self.responses):
-                raise FuncovError("times/values do not match the response list")
-            for k in range(len(self.responses)):
-                t, v = self._times[i][k], self._values[i][k]
-                if t.shape != v.shape:
-                    raise FuncovError(
-                        f"times/values length mismatch for subject {self.subjects[i]!r}"
-                    )
-                if t.size and not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-                    raise FuncovError(
-                        f"non-finite observation for subject {self.subjects[i]!r}"
-                    )
-                total += t.size
-        if total == 0:
-            raise FuncovError("dataset contains no observations")
+        if any(len(row) != p for rows in (times, values) for row in rows):
+            raise FuncovError("times/values do not match the response list")
+        # every cell flattened, subject-major then response
+        t_cells = [np.asarray(t, dtype=float).ravel() for row in times for t in row]
+        v_cells = [np.asarray(v, dtype=float).ravel() for row in values for v in row]
+        sizes, v_sizes = [t.size for t in t_cells], [v.size for v in v_cells]
+        t_all = np.concatenate([np.empty(0), *t_cells])
+        v_all = np.concatenate([np.empty(0), *v_cells])
+        cell = np.arange(len(sizes))
+        bad = np.concatenate(
+            [
+                cell[np.not_equal(sizes, v_sizes)],
+                np.repeat(cell, sizes)[~np.isfinite(t_all)],
+                np.repeat(cell, v_sizes)[~np.isfinite(v_all)],
+            ]
+        )
+        if bad.size:
+            # the first offending cell; a length mismatch there is named first
+            first = bad.min()
+            mismatch = sizes[first] != v_sizes[first]
+            what = "times/values length mismatch" if mismatch else "non-finite observation"
+            raise FuncovError(f"{what} for subject {self.subjects[first // p]!r}")
+        # regroup response-major: a stable sort keeps subject and input order
+        order = np.argsort(np.repeat(np.tile(np.arange(p), n), sizes), kind="stable")
+        t_all, v_all = t_all[order], v_all[order]
+        counts = np.array(sizes, dtype=np.intp).reshape(n, p).T.copy()
+        for a in (t_all, v_all, counts):
+            a.flags.writeable = False  # the views below inherit this
+        ends = np.cumsum(counts.sum(axis=1))[:-1]
+        self._pooled = list(zip(np.split(t_all, ends), np.split(v_all, ends), counts))
+        self._starts = [np.cumsum(m) - m for _, _, m in self._pooled]
 
     @property
     def n_subjects(self) -> int:
@@ -82,35 +96,39 @@ class SparseFunctionalDataset:
 
     def m(self, i: int, k: int) -> int:
         """Number of observations of subject i in response k."""
-        return self._times[i][k].size
+        return int(self._pooled[k][2][i])
 
     def obs(self, i: int, k: int):
-        """(times, values) arrays for subject i, response k."""
-        return self._times[i][k], self._values[i][k]
+        """(times, values) of subject i in response k: read-only views."""
+        t, v, counts = self._pooled[k]
+        rows = slice(self._starts[k][i], self._starts[k][i] + counts[i])
+        return t[rows], v[rows]
 
     def time_range(self):
-        """(min, max) over all observation times."""
-        lo = min(t.min() for row in self._times for t in row if t.size)
-        hi = max(t.max() for row in self._times for t in row if t.size)
-        return float(lo), float(hi)
+        """(min, max) over all observation times.
+
+        Raises :class:`FuncovError` when the dataset holds no observations.
+        """
+        seen = [t for t, _, _ in self._pooled if t.size]
+        if not seen:
+            raise FuncovError("dataset contains no observations")
+        return float(min(t.min() for t in seen)), float(max(t.max() for t in seen))
 
     def pooled(self, k: int):
         """Response k pooled across subjects in subject order.
 
         Returns (times, values, counts): the concatenated observation
         arrays and each subject's observation count (zero when the
-        subject does not observe response k).
+        subject does not observe response k). These are the dataset's own
+        read-only arrays, the same objects on every call.
         """
-        times = [self._times[i][k] for i in range(self.n_subjects)]
-        values = [self._values[i][k] for i in range(self.n_subjects)]
-        counts = np.array([t.size for t in times], dtype=np.intp)
-        return np.concatenate(times), np.concatenate(values), counts
+        return self._pooled[k]
 
     def iter_rows(self):
         """Yield (subject, response, time, value) in storage order."""
         for i, s in enumerate(self.subjects):
             for k, r in enumerate(self.responses):
-                for t, v in zip(self._times[i][k], self._values[i][k]):
+                for t, v in zip(*self.obs(i, k)):
                     yield s, r, float(t), float(v)
 
     @classmethod

@@ -71,7 +71,8 @@ class EigenSystem:
         largest-magnitude entry is positive.
     npc : int
         Components needed to reach the requested explained-variance
-        fraction.
+        fraction, unless a fit forced the count (``FitSettings.npc``).
+        A saved model keeps it, and prediction defaults to it.
     pve : float
         That requested fraction.
     pve_curve : ndarray, shape (pc,)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,9 +79,9 @@ class FitResult:
     """Everything the fitting pipeline produced.
 
     ``model`` is the refined (PSD) covariance model used for prediction;
-    ``raw_model`` keeps the unconstrained block estimates. ``npc`` is the
-    component count selected by explained variance (or forced by the
-    settings).
+    ``raw_model`` keeps the unconstrained block estimates. ``npc`` is
+    ``eig.npc``: the component count selected by explained variance, or
+    forced by the settings.
     """
 
     model: CovarianceModel
@@ -179,13 +179,14 @@ def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult
         response_labels=list(data.responses),
     )
     eig = eigendecompose(raw, settings.pve)
+    if settings.npc is not None:
+        eig = replace(eig, npc=settings.npc)
     model = refine(raw, eig)
-    npc = settings.npc if settings.npc is not None else eig.npc
     refined_spectrum = np.linalg.eigvalsh(whitened_stack(model))
     diagnostics = {
         "refined_min_whitened_eig": float(refined_spectrum[0]),
         "sigma2_raw": [bf.sigma2_raw for bf in fits if bf.sigma2_raw is not None],
     }
     return FitResult(
-        model=model, raw_model=raw, eig=eig, npc=npc, diagnostics=diagnostics
+        model=model, raw_model=raw, eig=eig, npc=eig.npc, diagnostics=diagnostics
     )

@@ -36,6 +36,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtri
 
+from .dataset import SparseFunctionalDataset
 from .errors import FuncovError
 from .fpca import CovarianceModel, EigenSystem, stack_blocks
 from .splines import eval_basis_matrix
@@ -156,8 +157,7 @@ def predict_batch(
         Grid shared by all subjects and responses. When omitted, every
         response is predicted at each subject's own observation times.
     npc : int, optional
-        Number of component scores to return; defaults to the
-        explained-variance choice stored in ``eig``.
+        Number of component scores to return; defaults to ``eig.npc``.
     level : float or None
         Band coverage level in (0, 1). None skips the pointwise variance
         and the band.
@@ -175,80 +175,6 @@ def predict_batch(
         )
     if times is not None:
         times = np.atleast_1d(np.asarray(times, dtype=float)).ravel()
-    pooled = [dataset.pooled(k) for k in range(model.p)]
-    return _predict(model, eig, pooled, times, npc, level, full_cov)
-
-
-def predict_subject(
-    model: CovarianceModel,
-    eig: EigenSystem,
-    obs_times,
-    obs_values,
-    new_times,
-    npc: int | None = None,
-    level: float = 0.95,
-) -> PredictionResult:
-    """Predict one subject's p curves at common new times.
-
-    Runs the :func:`predict_batch` path on the single subject, with the
-    full conditional covariance; the same contract applies. (A subject
-    without observations cannot form a dataset, so the subject's arrays
-    are pooled directly.)
-
-    Parameters
-    ----------
-    model : CovarianceModel
-    eig : EigenSystem
-        Eigendecomposition of the same model, used for the scores.
-    obs_times, obs_values : sequences of ndarray, length p
-        The subject's observed times and values per response; empty
-        arrays mark unobserved responses. A subject observed in no
-        response gets the population mean and prior covariance. A
-        non-finite time or value raises :class:`FuncovError`, as in a
-        dataset.
-    new_times : array_like
-        Grid to predict on, shared across responses.
-    npc : int, optional
-        Number of component scores to return; defaults to the
-        explained-variance choice stored in ``eig``.
-    level : float
-        Band coverage level in (0, 1).
-
-    Returns
-    -------
-    PredictionResult
-    """
-    p = model.p
-    if len(obs_times) != p or len(obs_values) != p:
-        raise FuncovError(f"expected {p} per-response observation arrays")
-    pooled = []
-    for k in range(p):
-        t = np.asarray(obs_times[k], dtype=float).ravel()
-        v = np.asarray(obs_values[k], dtype=float).ravel()
-        if t.size != v.size:
-            raise FuncovError(f"times/values mismatch in response {k}")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise FuncovError(f"non-finite observation in response {k}")
-        pooled.append((t, v, np.array([t.size])))
-    new_times = np.atleast_1d(np.asarray(new_times, dtype=float)).ravel()
-    res = _predict(model, eig, pooled, new_times, npc, level, full_cov=True)
-    return PredictionResult(
-        times=new_times,
-        xhat=res.xhat[0],
-        cov=res.cov[0],
-        lower=res.lower[0],
-        upper=res.upper[0],
-        scores=res.scores[0],
-        jitter=float(res.jitter[0]),
-    )
-
-
-def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction:
-    """The prediction path behind both entry points.
-
-    ``pooled`` holds one ``(times, values, counts)`` triple per response,
-    as :meth:`SparseFunctionalDataset.pooled` returns it.
-    """
     p, c = model.p, model.ws.c
     pc = p * c
     if level is not None and not 0.0 < level < 1.0:
@@ -264,7 +190,8 @@ def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction
     Gh = model.ws.G_half
     to_scores = eig.U[:, :L].T @ (Gh @ Theta.reshape(p, c, pc)).reshape(pc, pc)
     bands = level is not None
-    n = pooled[0][2].size
+    n = dataset.n_subjects
+    pooled = [dataset.pooled(k) for k in range(p)]
 
     # Observation rows in pooled order (response-major), regrouped so that
     # each subject's rows are contiguous (response-major within it).
@@ -350,6 +277,59 @@ def _predict(model, eig, pooled, times, npc, level, full_cov) -> BatchPrediction
         cov=cov,
         scores=scores,
         jitter=jitter,
+    )
+
+
+def predict_subject(
+    model: CovarianceModel,
+    eig: EigenSystem,
+    obs_times,
+    obs_values,
+    new_times,
+    npc: int | None = None,
+    level: float = 0.95,
+) -> PredictionResult:
+    """Predict one subject's p curves at common new times.
+
+    Runs :func:`predict_batch` on a one-subject dataset, with the full
+    conditional covariance; the same contract applies.
+
+    Parameters
+    ----------
+    model : CovarianceModel
+    eig : EigenSystem
+        Eigendecomposition of the same model, used for the scores.
+    obs_times, obs_values : sequences of ndarray, length p
+        The subject's observed times and values per response; empty
+        arrays mark unobserved responses. A subject observed in no
+        response gets the population mean and prior covariance. A
+        non-finite time or value raises :class:`FuncovError`, as in a
+        dataset.
+    new_times : array_like
+        Grid to predict on, shared across responses.
+    npc : int, optional
+        Number of component scores to return; defaults to ``eig.npc``.
+    level : float
+        Band coverage level in (0, 1).
+
+    Returns
+    -------
+    PredictionResult
+    """
+    p = model.p
+    if len(obs_times) != p or len(obs_values) != p:
+        raise FuncovError(f"expected {p} per-response observation arrays")
+    # positional response labels: a loaded model's labels need not be unique
+    data = SparseFunctionalDataset(["0"], [str(k) for k in range(p)], [obs_times], [obs_values])
+    res = predict_batch(model, eig, data, new_times, npc, level, full_cov=True)
+    return PredictionResult(
+        times=res.times,
+        xhat=res.xhat[0],
+        cov=res.cov[0],
+        lower=res.lower[0],
+        upper=res.upper[0],
+        scores=res.scores[0],
+        jitter=float(res.jitter[0]),
     )
 
 

@@ -124,6 +124,36 @@ def test_fit_rejects_npc_past_the_component_count(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
 
+def test_fit_saves_a_forced_component_count(tmp_path, capsys):
+    # the forced count, not the explained-variance one, reaches the model
+    # file, so predict writes that many scores by default
+    train, truth = generate(SimDesign(n=30, rho=0.9, snr=2.0, seed=3, n_test=2))
+    path = tmp_path / "train.csv"
+    train.to_csv(path)
+    model_path = tmp_path / "model.json"
+    flags = ["--n-interior-mean", "4", "--n-interior-cov", "4", "--domain", "0,1"]
+    out = run_ok(capsys, ["fit", "--data", str(path), "--out", str(model_path), *flags])
+    assert json.loads(out.out)["npc"] > 2  # the explained-variance count
+    out = run_ok(
+        capsys, ["fit", "--data", str(path), "--out", str(model_path), *flags, "--npc", "2"]
+    )
+    assert json.loads(out.out)["npc"] == 2
+    assert json.loads(model_path.read_text())["eigen"]["npc"] == 2
+    assert load_model(model_path)[1].npc == 2
+
+    query = tmp_path / "query.csv"
+    truth.test_data.to_csv(query)
+    run_ok(
+        capsys,
+        ["predict", "--model", str(model_path), "--data", str(query),
+         "--out", str(tmp_path / "pred.csv"), "--grid-size", "3"],
+    )
+    scores = read_rows(tmp_path / "pred.scores.csv")[1:]
+    assert [(r[0], r[1]) for r in scores] == [
+        (s, str(ell)) for s in truth.test_data.subjects for ell in (1, 2)
+    ]
+
+
 @pytest.mark.parametrize("bad", ["Infinity", "NaN"])
 def test_fit_rejects_non_finite_rho_grid(tmp_path, capsys, bad):
     train, _ = generate(SimDesign(n=30, rho=0.5, snr=2.0, seed=4, n_test=0))
@@ -390,6 +420,39 @@ def test_predict_flags_out_of_domain_times(tmp_path, capsys):
     )
     value_rows = [r for r in got[1:] if not r[7] and r[1] == "y1"]
     assert [float(r[3]) for r in value_rows] == list(pred.xhat[0])
+
+
+@pytest.mark.parametrize("mode", ["grid", "observed"])
+def test_predict_query_wholly_outside_the_domain(tmp_path, capsys, mode):
+    # the in-domain dataset holds no observations: on the grid each subject
+    # gets the prior mean and variance, and every row is reported
+    model, eig, model_path = prediction_model(tmp_path, seed=9)
+    rows = [["a", "y2", "1.5", "9.9"], ["a", "y1", "-0.25", "1.0"], ["b", "y1", "2.0", "0.3"]]
+    query = write_query(tmp_path, rows)
+    out_path = tmp_path / "pred.csv"
+    run_ok(
+        capsys,
+        ["predict", "--model", str(model_path), "--data", str(query),
+         "--out", str(out_path), "--times", mode, "--grid-size", "3"],
+    )
+    got = read_rows(out_path)[1:]
+    errors = [r for r in got if r[7]]
+    assert [(r[0], r[1], r[2]) for r in errors] == [
+        ("a", "y1", "-0.25"), ("a", "y2", "1.5"), ("b", "y1", "2.0")
+    ]
+    assert all(r[3:7] == ["", "", "", ""] for r in errors)
+    values = [r for r in got if not r[7]]
+    scores = read_rows(tmp_path / "pred.scores.csv")[1:]
+    if mode == "observed":
+        assert values == [] and scores == []
+        return
+    prior = predict_subject(model, eig, [np.zeros(0)] * 2, [np.zeros(0)] * 2, np.linspace(0, 1, 3))
+    for subject in ("a", "b"):
+        mine = [r for r in values if r[0] == subject]
+        assert [float(r[3]) for r in mine] == list(prior.xhat.ravel())
+        assert [float(r[4]) for r in mine] == list(np.diag(prior.cov))
+    assert len(scores) == 2 * eig.npc
+    assert {float(r[2]) for r in scores} == {0.0}
 
 
 def test_simulate_writes_replicates_and_truth(tmp_path, capsys):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from funcov import DataFormatError, FuncovError, SparseFunctionalDataset
+from funcov import (
+    DataFormatError,
+    FitSettings,
+    FuncovError,
+    SparseFunctionalDataset,
+    fit_covariance_model,
+)
 from funcov.dataset import CSV_HEADER
 
 
@@ -73,8 +79,46 @@ def test_validation_errors():
         SparseFunctionalDataset(["a"], ["y1"], [[[0.1, 0.2]]], [[[1.0]]])
     with pytest.raises(FuncovError, match="non-finite"):
         SparseFunctionalDataset(["a"], ["y1"], [[[np.nan]]], [[[1.0]]])
+    with pytest.raises(FuncovError, match="response list"):
+        SparseFunctionalDataset(["a"], ["y1", "y2"], [[[0.1]]], [[[1.0]]])
+    # no observations is a valid dataset; the fit rejects it (below)
+    empty = SparseFunctionalDataset(["a"], ["y1"], [[[]]], [[[]]])
     with pytest.raises(FuncovError, match="no observations"):
-        SparseFunctionalDataset(["a"], ["y1"], [[[]]], [[[]]])
+        empty.time_range()
+
+
+def test_validation_names_the_first_offending_subject():
+    # subject b's non-finite value comes before subject c's length mismatch,
+    # and within one cell a length mismatch is reported first
+    times = [[[0.1]], [[0.2, 0.3]], [[0.4]]]
+    with pytest.raises(FuncovError, match="non-finite observation for subject 'b'"):
+        SparseFunctionalDataset(["a", "b", "c"], ["y1"], times, [[[1.0]], [[np.inf, 2.0]], [[]]])
+    with pytest.raises(FuncovError, match="length mismatch for subject 'b'"):
+        SparseFunctionalDataset(["a", "b", "c"], ["y1"], times, [[[1.0]], [[np.nan]], [[]]])
+
+
+@pytest.mark.parametrize("domain", [None, (0.0, 1.0)], ids=["observed-range", "explicit"])
+def test_dataset_without_observations_is_rejected_by_the_fit(domain):
+    empty = SparseFunctionalDataset(["a", "b"], ["y1", "y2"], [[[], []]] * 2, [[[], []]] * 2)
+    assert empty.n_subjects == 2 and empty.m(1, 1) == 0
+    assert list(empty.iter_rows()) == []
+    message = "dataset contains no observations" if domain is None else "no observations"
+    with pytest.raises(FuncovError, match=message):
+        fit_covariance_model(empty, FitSettings(domain=domain, workers=1))
+
+
+def test_pooled_arrays_are_stored_once_and_read_only():
+    ds = toy()
+    for k in range(ds.n_responses):
+        first, again = ds.pooled(k), ds.pooled(k)
+        assert all(a is b for a, b in zip(first, again))
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+    t, v = ds.obs(1, 0)
+    assert not t.flags.writeable and not v.flags.writeable
+    assert np.shares_memory(t, ds.pooled(0)[0])
 
 
 def test_csv_round_trip_preserves_floats(tmp_path):

@@ -135,4 +135,5 @@ def test_forced_npc_must_be_a_component_index(train, npc):
 
 def test_forced_npc_up_to_the_component_count_is_kept(train):
     for npc in (1, np.int64(24)):
-        assert fit_covariance_model(train, _settings(1, npc)).npc == npc
+        res = fit_covariance_model(train, _settings(1, npc))
+        assert res.npc == res.eig.npc == npc
