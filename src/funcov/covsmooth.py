@@ -206,24 +206,20 @@ def _auto_penalty(ws: SplineWorkspace):
     return block_diag(ws.Gc.T @ ws.P1 @ ws.Gc, 0.0)
 
 
-def _checked_rho_grid(rho_grid) -> np.ndarray:
-    rho_grid = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, float)
-    if rho_grid.size == 0 or not np.all(np.isfinite(rho_grid) & (rho_grid >= 0)):
-        raise FuncovError("rho grid must be nonempty, finite and nonnegative")
-    return rho_grid
-
-
-def _select(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid):
-    """Grid search of the fast LOSO criterion for one block.
+def _fit_block(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid):
+    """Select one block's penalty by the fast LOSO criterion and solve there.
 
     Cross blocks mix the two tensor-product penalties as
     ``rho * (w P1 + (1 - w) P2)`` over the full (rho, w) grid. Auto
     blocks carry the symmetry constraint, under which both penalties
     coincide, so only rho is searched (reported weight 0.5). Returns the
-    :class:`SelectionResult` with the block's normal matrix and its
-    right-hand side ``X'C``.
+    :class:`SelectionResult`, the selected levels ``l`` and the solution
+    of ``(X'X + sum_j l_j P_j) beta = X'C``. A grid on which no point
+    scores finite raises :class:`FuncovError` naming the block.
     """
-    rho_grid = _checked_rho_grid(rho_grid)
+    rho_grid = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, float)
+    if rho_grid.size == 0 or not np.all(np.isfinite(rho_grid) & (rho_grid >= 0)):
+        raise FuncovError("rho grid must be nonempty, finite and nonnegative")
     auto = block.k == block.kp
     if auto:
         penalties, weights = [_auto_penalty(ws)], [(1.0,)]
@@ -233,14 +229,22 @@ def _select(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid):
             raise FuncovError("weight grid must be nonempty with weights in [0, 1]")
         penalties = [ws.P1, ws.P2]
         weights = [(float(w), float(1.0 - w)) for w in w_grid]
+    name = f"auto block {block.k}" if auto else f"cross block ({block.k}, {block.kp})"
     gram, rhs, apply = _block_statistics(block, ws)
     norm_y2 = float(np.vdot(block.C, block.C))
-    sel = select_grid(
-        gram, rhs, norm_y2, apply, penalties=penalties, rho_grid=rho_grid, weight_grid=weights
-    )
+    try:
+        sel = select_grid(
+            gram, rhs, norm_y2, apply, penalties=penalties, rho_grid=rho_grid, weight_grid=weights
+        )
+    except FloatingPointError:
+        raise FuncovError(f"{name}: selection criterion was non-finite on the whole grid") from None
     if auto:
         sel = replace(sel, weight=0.5)
-    return sel, gram, rhs.sum(axis=0)
+    lambdas = (sel.rho,) if auto else (sel.rho * sel.weight, sel.rho * (1.0 - sel.weight))
+    # left to right, (X'X + l_1 P_1) + l_2 P_2: the order fixes the last bits
+    A = sum((lam * P for lam, P in zip(lambdas, penalties)), gram)
+    beta = solve_penalized(A, rhs.sum(axis=0), penalty_is_zero=not any(lambdas), context=name)
+    return sel, lambdas, beta
 
 
 def fit_cross(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None) -> BlockFit:
@@ -251,18 +255,10 @@ def fit_cross(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None) 
     """
     if block.k == block.kp:
         raise FuncovError("fit_cross expects an off-diagonal block")
-    sel, gram, rhs = _select(block, ws, rho_grid, w_grid)
-    lam1 = sel.rho * sel.weight
-    lam2 = sel.rho * (1.0 - sel.weight)
-    theta_vec = solve_penalized(
-        gram + lam1 * ws.P1 + lam2 * ws.P2,
-        rhs,
-        penalty_is_zero=(lam1 == 0.0 and lam2 == 0.0),
-        context=f"cross block ({block.k}, {block.kp})",
-    )
+    sel, lambdas, theta_vec = _fit_block(block, ws, rho_grid, w_grid)
     return BlockFit(
         theta=theta_vec.reshape(ws.c, ws.c, order="F"),
-        lambdas=(lam1, lam2),
+        lambdas=lambdas,
         sigma2=None,
         sigma2_raw=None,
         selection=sel,
@@ -280,13 +276,7 @@ def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
     """
     if block.k != block.kp:
         raise FuncovError("fit_auto expects a diagonal block")
-    sel, gram, rhs = _select(block, ws, rho_grid, None)
-    beta = solve_penalized(
-        gram + sel.rho * _auto_penalty(ws),
-        rhs,
-        penalty_is_zero=(sel.rho == 0.0),
-        context=f"auto block {block.k}",
-    )
+    sel, lambdas, beta = _fit_block(block, ws, rho_grid, None)
     eta, sigma2_raw = beta[:-1], float(beta[-1])
     theta = (ws.Gc @ eta).reshape(ws.c, ws.c, order="F")
     sigma2 = sigma2_raw
@@ -300,7 +290,7 @@ def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
         )
     return BlockFit(
         theta=theta,
-        lambdas=(sel.rho,),
+        lambdas=lambdas,
         sigma2=sigma2,
         sigma2_raw=sigma2_raw,
         selection=sel,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._linalg import solve_penalized
 # loso_shortcut_error stays importable from here: the benchmark's tracer
 # (bench/tracing.py) wraps it under this module's name.
 from .crossval import loso_shortcut_error, loso_singular, size_groups  # noqa: F401
@@ -60,7 +59,9 @@ def fit_mean(data, k: int, ws: SplineWorkspace, tau_grid=None) -> MeanFit:
     once (:func:`loso_curve`), and aggregated as the plain sum of squared
     errors over all held-out points (no per-subject reweighting). Ties
     prefer the larger tau; a grid where every tau is singular raises
-    :class:`SingularSystemError`.
+    :class:`SingularSystemError`. The coefficients at the selected tau come
+    from the same joint basis that scored the grid,
+    ``alpha = R diag(1 / (nu + tau mu)) Q'y``.
 
     Parameters
     ----------
@@ -89,7 +90,8 @@ def fit_mean(data, k: int, ws: SplineWorkspace, tau_grid=None) -> MeanFit:
     if tau_grid.size == 0 or not np.all(np.isfinite(tau_grid) & (tau_grid >= 0)):
         raise FuncovError("tau grid must be nonempty, finite and nonnegative")
 
-    scores = loso_curve(B, y, counts, G0, DtD, tau_grid)
+    basis = _joint_basis(B, G0, DtD)
+    scores = _joint_errors(basis, y, size_groups(counts), tau_grid)
     curve = np.column_stack([tau_grid, scores])
     finite = np.isfinite(scores)
     if not finite.any():
@@ -99,9 +101,8 @@ def fit_mean(data, k: int, ws: SplineWorkspace, tau_grid=None) -> MeanFit:
         )
     # the lowest finite score; ties prefer the larger tau
     tau = float(tau_grid[finite & (scores == scores[finite].min())].max())
-    alpha = solve_penalized(
-        G0 + tau * DtD, B.T @ y, penalty_is_zero=(tau == 0.0), context="mean fit"
-    )
+    Q, R, nu, mu = basis  # a finite score means no nu + tau mu is zero
+    alpha = R @ ((Q.T @ y) / (nu + tau * mu))
     return MeanFit(alpha=alpha, tau=tau, cv_curve=curve, ws=ws)
 
 
@@ -123,14 +124,11 @@ def loso_curve(B, y, counts, G0, DtD, tau_grid) -> np.ndarray:
     :func:`funcov.crossval.loso_shortcut_error` scores one tau with its own
     Cholesky factor and is the reference this curve is tested against.
     """
-    basis = _joint_basis(B, G0, DtD)
-    if basis is None:
-        return np.full(len(tau_grid), np.inf)
-    return _joint_errors(*basis, y, size_groups(counts), tau_grid)
+    return _joint_errors(_joint_basis(B, G0, DtD), y, size_groups(counts), tau_grid)
 
 
 def _joint_basis(B, G0, DtD):
-    """(Q, nu, mu) diagonalizing the pencil (B'B, D'D), or None.
+    """(Q, R, nu, mu) diagonalizing the pencil (B'B, D'D), or None.
 
     None when ``B'B + D'D`` is not positive definite: then the two share a
     null direction and every ``B'B + tau D'D`` is singular.
@@ -154,15 +152,18 @@ def _joint_basis(B, G0, DtD):
     floor = nu.size * np.finfo(float).eps * np.einsum("ij,ij->j", R, R)
     nu[nu <= floor * np.linalg.norm(G0, 2)] = 0.0
     mu[mu <= floor * np.linalg.norm(DtD, 2)] = 0.0
-    return Q, nu, mu
+    return Q, R, nu, mu
 
 
-def _joint_errors(Q, nu, mu, y, groups, taus) -> np.ndarray:
+def _joint_errors(basis, y, groups, taus) -> np.ndarray:
     """LOSO errors at every tau from the joint basis.
 
     A tau at which ``B'B + tau D'D`` or some ``I - S_ii`` is singular to
-    rounding scores inf.
+    rounding scores inf, as does every tau when the basis is None.
     """
+    if basis is None:
+        return np.full(len(taus), np.inf)
+    Q, _, nu, mu = basis
     c = nu.size
     spectra = nu + taus[:, None] * mu  # (T, c) of B'B + tau D'D in the basis R
     singular_pencil = (spectra == 0.0).any(axis=1)

@@ -99,9 +99,10 @@ def _array(doc, key, shape):
 def load_model(path):
     """Load a model file written by :func:`save_model`.
 
-    A missing field, a field of the wrong type, an array whose shape
-    disagrees with the response count or a basis size, or an array with a
-    non-finite value raises :class:`DataFormatError`.
+    A missing field, a field of the wrong type, a repeated response label,
+    an array whose shape disagrees with the response count or a basis
+    size, or an array with a non-finite value raises
+    :class:`DataFormatError`.
 
     Returns
     -------
@@ -135,6 +136,9 @@ def _from_doc(doc):
     ws_mean = ws_cov if n_mean == n_cov else build_workspace(domain, n_mean, order)
     labels = _field(doc, "response_labels", lambda x: _strings(x) and len(x) > 0,
                     "a nonempty list of strings")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise DataFormatError(f"response label {label!r} is repeated")
     p, c = len(labels), ws_cov.c
     alphas = _array(doc, "mean_alphas", (p, ws_mean.c))
     taus = _field(doc, "mean_taus", lambda x: _numbers(x) and len(x) == p, f"{p} numbers")

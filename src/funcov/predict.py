@@ -319,7 +319,7 @@ def predict_subject(
     p = model.p
     if len(obs_times) != p or len(obs_values) != p:
         raise FuncovError(f"expected {p} per-response observation arrays")
-    # positional response labels: a loaded model's labels need not be unique
+    # positional response labels: the model's own labels play no part here
     data = SparseFunctionalDataset(["0"], [str(k) for k in range(p)], [obs_times], [obs_values])
     res = predict_batch(model, eig, data, new_times, npc, level, full_cov=True)
     return PredictionResult(

@@ -9,6 +9,7 @@ two is evidence, not tautology.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -151,6 +152,37 @@ def dense_ridge(B, y, penalty):
     """Generic dense ridge solve of the normal equations."""
     A = B.T @ B + penalty
     return np.linalg.solve(A, B.T @ y)
+
+
+def exact_penalized_solve(B, y, D, tau):
+    """Solution of ``(B'B + tau D'D) x = B'y`` in exact rational arithmetic.
+
+    Every input float is taken as the rational it represents, and the
+    system is formed and eliminated with :class:`fractions.Fraction`, so the
+    only rounding is the final conversion of x to floats. A float solve of
+    the same system loses about ``cond * eps`` (3e-5 relative at
+    ``tau = 1e12``); this reference does not.
+    """
+    Bf = [[Fraction(v) for v in row] for row in np.asarray(B, dtype=float)]
+    Df = [[Fraction(v) for v in row] for row in np.asarray(D, dtype=float)]
+    yf = [Fraction(v) for v in np.asarray(y, dtype=float)]
+    c, t = len(Bf[0]), Fraction(float(tau))
+    # augmented rows [A | b]
+    A = [
+        [sum(r[i] * r[j] for r in Bf) + t * sum(r[i] * r[j] for r in Df) for j in range(c)]
+        + [sum(r[i] * v for r, v in zip(Bf, yf))]
+        for i in range(c)
+    ]
+    for k in range(c):
+        pivot = max(range(k, c), key=lambda i: abs(A[i][k]))
+        A[k], A[pivot] = A[pivot], A[k]
+        for i in range(k + 1, c):
+            f = A[i][k] / A[k][k]
+            A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+    x = [Fraction(0)] * c
+    for i in reversed(range(c)):
+        x[i] = (A[i][c] - sum(A[i][j] * x[j] for j in range(i + 1, c))) / A[i][i]
+    return np.array([float(v) for v in x])
 
 
 def literal_loso(X, y, slices, penalty):

@@ -173,6 +173,30 @@ def test_fit_rejects_non_finite_rho_grid(tmp_path, capsys, bad):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "train.csv"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_with_no_finite_selection_score_is_invalid(tmp_path, capsys):
+    # finite values whose residual products overflow the selection
+    # criterion: a JSON error naming a block, not a traceback
+    train, _ = generate(SimDesign(n=30, rho=0.5, snr=2.0, seed=4, n_test=0))
+    rows = [(s, r, t, 1e150 * v) for s, r, t, v in train.iter_rows()]
+    path = tmp_path / "train.csv"
+    SparseFunctionalDataset.from_long(*zip(*rows)).to_csv(path)
+    code, captured = run_fail(
+        capsys,
+        ["fit", "--data", str(path), "--out", str(tmp_path / "model.json"),
+         "--n-interior-mean", "4", "--n-interior-cov", "4"],
+    )
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid"
+    assert re.fullmatch(
+        r"(auto block \d|cross block \(\d, \d\)): selection criterion was non-finite "
+        r"on the whole grid",
+        payload["message"],
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+
 def test_fit_simulated_data_reports_full_spectrum(tmp_path, capsys):
     train, _ = generate(SimDesign(n=100, rho=0.9, snr=2.0, seed=17, n_test=0))
     path = tmp_path / "train.csv"

@@ -1,5 +1,6 @@
 """Covariance-block smoothing: pair assembly, selection, closed-form solves."""
 
+import re
 import time
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 import funcov
 from funcov import FuncovError, SingularSystemError, build_workspace
 from funcov import covsmooth
+from funcov._linalg import solve_penalized
 from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross
 from funcov.crossval import GridSelector
 from funcov.splines import duplication_matrix, eval_basis_matrix
@@ -265,6 +267,46 @@ def test_auto_matches_dense_solve():
     assert fit.sigma2_raw == pytest.approx(float(beta[-1]), rel=1e-10)
     # theta is symmetric by construction
     np.testing.assert_array_equal(fit.theta, fit.theta.T)
+
+
+def test_block_solve_adds_penalties_left_to_right():
+    # at a pinned (rho, w) each fit equals, bit for bit, a solve of the
+    # system assembled as gram + l1 P1 (+ l2 P2) from the block statistics
+    ws = build_workspace((0.0, 1.0), 2, 4)
+    data = residual_dataset(15, n=30, p=2, m_range=(2, 5))
+    means = zero_means(ws, 2)
+    rho, w = 3.7, 0.3
+
+    block = build_aux(data, means, ws, 0, 1)
+    gram, rhs, _ = covsmooth._block_statistics(block, ws)
+    lam1, lam2 = rho * w, rho * (1.0 - w)
+    theta = solve_penalized(gram + lam1 * ws.P1 + lam2 * ws.P2, rhs.sum(axis=0))
+    fit = fit_cross(block, ws, rho_grid=[rho], w_grid=[w])
+    assert fit.lambdas == (lam1, lam2)
+    np.testing.assert_array_equal(fit.theta, theta.reshape(ws.c, ws.c, order="F"))
+
+    block = build_aux(data, means, ws, 0, 0)
+    gram, rhs, _ = covsmooth._block_statistics(block, ws)
+    beta = solve_penalized(gram + rho * covsmooth._auto_penalty(ws), rhs.sum(axis=0))
+    fit = fit_auto(block, ws, rho_grid=[rho])
+    assert fit.lambdas == (rho,)
+    np.testing.assert_array_equal(fit.theta, (ws.Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"))
+    assert fit.sigma2_raw == beta[-1]
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 0)], ids=["cross", "auto"])
+def test_non_finite_grid_names_the_block(pair):
+    # finite data whose products overflow: no grid point scores finite, and
+    # the error is a FuncovError that names the block
+    ws = build_workspace((0.0, 1.0), 1, 4)
+    data = residual_dataset(16, n=10, p=2, m_range=(2, 4))
+    big = [(s, r, t, 1e150 * v) for s, r, t, v in data.iter_rows()]
+    data = funcov.SparseFunctionalDataset.from_long(*zip(*big))
+    block = build_aux(data, zero_means(ws, 2), ws, *pair)
+    name = "auto block 0" if pair == (0, 0) else "cross block (0, 1)"
+    with np.errstate(all="ignore"), pytest.warns(RuntimeWarning, match="non-finite selection"):
+        with pytest.raises(FuncovError, match=re.escape(name) + ": selection criterion"):
+            select_smoothing(block, ws, rho_grid=[0.1, 10.0])
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 0)], ids=["cross", "auto"])

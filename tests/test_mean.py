@@ -278,6 +278,29 @@ def test_ill_conditioned_gram_matches_exact_and_literal_paths(
         assert val == pytest.approx(literal, rel=1e-8)
 
 
+@pytest.mark.parametrize("design", ["regular", "ill_conditioned_gram", "huge_tau"])
+def test_coefficients_solve_the_penalized_system(design):
+    # alpha, taken from the joint basis at the selected tau, against an
+    # exact rational solve of (B'B + tau D'D) alpha = B'y. At tau = 1e12
+    # the system's condition number is about 2e12, and a float solve of it
+    # (np.linalg.solve or a Cholesky factor) is itself off by ~3e-5.
+    tau_grid = None
+    if design == "regular":
+        ws = build_workspace((0.0, 1.0), 9, 4)
+        data = make_dataset(np.random.default_rng(0), n=40, p=1, m_range=(2, 6))
+    elif design == "ill_conditioned_gram":
+        ws = build_workspace((0.0, 1.0), 5, 4)
+        data = boundary_sparse_dataset(0.1, 0.3)
+    else:
+        ws = build_workspace((0.0, 1.0), 6, 4)
+        data = make_dataset(np.random.default_rng(21), n=25, p=1, m_range=(3, 6))
+        tau_grid = [1e12]
+    fit = fit_mean(data, 0, ws, tau_grid=tau_grid)
+    B, y, *_ = pooled_design(data, ws)
+    expected = oracles.exact_penalized_solve(B, y, ws.D, fit.tau)
+    assert np.linalg.norm(fit.alpha - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
 def test_loso_point_singular_to_rounding_scores_inf_on_both_paths():
     # At tau = 0 each edge subject alone observes an end basis function, so
     # leaving it out leaves the fit undetermined: I - S_ii is singular to

@@ -119,6 +119,12 @@ def test_load_rejects_bad_files(tmp_path):
     with pytest.raises(DataFormatError, match="unsupported model version"):
         load_model(wrong_version)
 
+    repeated = tmp_path / "labels.json"
+    repeated.write_text(good.read_text())
+    edit_doc(repeated, response_labels=["y1", "y1"])
+    with pytest.raises(DataFormatError, match="response label 'y1' is repeated"):
+        load_model(repeated)
+
 
 def test_load_rejects_corrupt_arrays(tmp_path):
     model, eig = example_model()
