@@ -254,7 +254,6 @@ def cmd_predict(args) -> int:
         scores = pred.scores.tolist()
         if grid is not None:
             grid_cells = list(map(repr, grid.tolist()))
-            columns = [x.tolist() for x in (pred.xhat, pred.var, pred.lower, pred.upper)]
         else:
             # each subject's rows of the pooled observed-time output
             owners = np.concatenate(
@@ -264,16 +263,14 @@ def cmd_predict(args) -> int:
             subject_rows = np.split(np.argsort(owners, kind="stable"), ends[:-1])
         reason = f"time outside fitted domain [{a!r}, {b!r}]"
         for i, subject in enumerate(data.subjects):
+            # converted per subject, so the batch is never held twice as lists
             if grid is not None:
-                time_cells, cells = grid_cells, [x[i] for x in columns]
+                time_cells, at = grid_cells, i
             else:
                 rows = subject_rows[i]
                 new_times, first = np.unique(pred.times[rows], return_index=True)
-                cols = rows[first]
-                time_cells = list(map(repr, new_times.tolist()))
-                cells = [
-                    x[:, cols].tolist() for x in (pred.xhat, pred.var, pred.lower, pred.upper)
-                ]
+                time_cells, at = list(map(repr, new_times.tolist())), (slice(None), rows[first])
+            cells = [x[at].tolist() for x in (pred.xhat, pred.var, pred.lower, pred.upper)]
             if time_cells:
                 for k, label in enumerate(labels):
                     writer.writerows(

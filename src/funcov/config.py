@@ -79,8 +79,8 @@ class RunConfig(FitSettings):
             raise FuncovError("npc must be >= 1 when given")
         if not 0.0 < self.level < 1.0:
             raise FuncovError("level must lie in (0, 1)")
-        if self.grid_size < 0:
-            raise FuncovError("grid_size must be nonnegative")
+        if self.grid_size < 2:
+            raise FuncovError("grid_size must be >= 2")
         if self.workers < 1:
             raise FuncovError("workers must be >= 1")
         if self.replicates < 1:

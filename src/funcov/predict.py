@@ -6,21 +6,26 @@ model, so the conditional mean and covariance are available in closed
 form. Predictions borrow strength across responses through the
 cross-covariance blocks.
 
-One batched path serves every caller. With the stacked coefficients
-``Theta``, a subject's observed design ``B_o`` (block diagonal by
-response) and ``V = B_o Theta B_o' + diag(sigma^2)``, the prediction at
-new points with design ``B_new`` is ``mu + B_new Theta z`` with
-``z = B_o' V^{-1} r``. This is the exact conditional expectation,
-reassociated, for any symmetric ``Theta``, refined or not.
+One batched path, with one per-subject body, serves every caller. With
+the stacked coefficients ``Theta``, a subject's observed design ``B_o``
+(block diagonal by response) and ``V = B_o Theta B_o' + diag(sigma^2)``,
+the prediction at new points with design ``B_new`` is
+``mu_new + B_new (Theta z)`` with ``z = B_o' V^{-1} r``. This is the exact
+conditional expectation, reassociated, for any symmetric ``Theta``,
+refined or not. Prediction at observed times is prediction on a grid made
+of the subject's own times: the two modes differ only in ``B_new`` and
+``mu_new`` (and, with a band, ``M_new = kron(I_p, B_new) Theta`` and the
+prior variance), chosen once per call for a shared grid and per subject
+otherwise.
 
 Once per call: each distinct workspace's basis at the observation times
 and at the grid (a mean on the model's own workspace reuses the model's
-basis rather than evaluating it again), the means at the grid,
-``M_new = B_new Theta`` and the prior variance. Per subject only the
-products that involve its own observations are formed, with one Cholesky
-factorization of its ``V`` through LAPACK's ``dpotrf`` and solves through
-``dpotrs``, the routines ``scipy.linalg.cho_factor`` and ``cho_solve``
-wrap, called directly.
+basis rather than evaluating it again) and the means at the grid. Per
+subject only the products that involve its own observations are formed,
+with one Cholesky factorization of its ``V`` through LAPACK's ``dpotrf``
+and solves through ``dpotrs``, the routines ``scipy.linalg.cho_factor``
+and ``cho_solve`` wrap, called directly. ``M_new`` is built only when a
+band is asked for.
 
 A pointwise band at ``level`` is ``xhat +/- z sqrt(var)`` with ``z`` the
 standard normal's ``0.5 + level / 2`` quantile from
@@ -213,59 +218,67 @@ def predict_batch(
 
     var = cov = None
     if times is not None:
-        m = times.size
-        Bn, Bn_mean = _bases(model, times)
-        M_new = _new_design(Bn, Theta, p)
-        mu_new = np.vstack([B @ mean.alpha for B, mean in zip(Bn_mean, model.means)])
-        xhat = np.empty((n, p, m))
+        if not times.size:
+            raise FuncovError("prediction grid is empty")
+        B_new, B_new_mean = _bases(model, times)
+        mu_new = np.vstack([B @ mean.alpha for B, mean in zip(B_new_mean, model.means)])
+        xhat = np.empty((n, p, times.size))
         if bands:
-            prior_diag = _prior_diag(M_new, Bn, p)
-            var = np.empty((n, p * m))
+            M_new = _new_design(B_new, Theta, p)
+            prior_diag = _prior_diag(M_new, B_new, p)
         if full_cov:
-            cov = np.empty((n, p * m, p * m))
-            prior = np.hstack([M_new[:, k * c : (k + 1) * c] @ Bn.T for k in range(p)])
+            prior = np.hstack([M_new[:, k * c : (k + 1) * c] @ B_new.T for k in range(p)])
+            cov = np.empty((n, prior.shape[0], prior.shape[0]))
     else:
         xhat = np.empty((p, t_obs.size))
-        if bands:
-            var = np.empty((p, t_obs.size))
+    if bands:
+        var = np.empty_like(xhat)
     scores = np.zeros((n, L))
     jitter = np.zeros(n)
 
     for i in range(n):
         m_i = counts[i]
+        if times is None and not m_i:
+            continue  # no times of its own to predict at
         rows = slice(ends[i] - m_i, ends[i])
-        B_i, Bo_i = B_obs[rows], Bo[rows]
+        Bo_i = Bo[rows]
         # every response's mean at each of the subject's times
         mu_i = np.array([B[rows] @ mean.alpha for B, mean in zip(B_mean, model.means)])
-        factor = None
+        at = i
+        if times is None:  # the subject's own times are its grid
+            at = (slice(None), order[rows])
+            B_new, mu_new = B_obs[rows], mu_i
+            if bands:
+                M_new = _new_design(B_new, Theta, p)
+                prior_diag = _prior_diag(M_new, B_new, p)
         z = np.zeros(pc)
         if m_i:
             V = Bo_i @ Theta @ Bo_i.T
             V.flat[:: m_i + 1] += noise[rows]
-            cf, jitter[i] = _factor(V)
+            cf, info = dpotrf(V, clean=0)
+            if info:
+                jitter[i] = V_JITTER * float(np.trace(V)) / m_i
+                cf, info = dpotrf(V + jitter[i] * np.eye(m_i), clean=0)
+                if info:
+                    raise FuncovError("observation covariance is singular even after jitter")
             resid = y_obs[rows] - mu_i[resp[rows], np.arange(m_i)]
             z = Bo_i.T @ dpotrs(cf, resid)[0]
-            factor = (cf, Bo_i)
             scores[i] = to_scores @ z
-        if times is not None:
-            xhat[i] = mu_new + (M_new @ z).reshape(p, m)
-            if bands:
-                var[i], cross, G = _conditional(M_new, prior_diag, factor)
-            if full_cov:
-                C = prior if cross is None else prior - cross @ G
-                cov[i] = 0.5 * (C + C.T)
-                np.fill_diagonal(cov[i], var[i])  # the band's variance, exactly
-        elif m_i:
-            cols = order[rows]
-            xhat[:, cols] = mu_i + (B_i @ (Theta @ z).reshape(p, c).T).T
-            if bands:
-                M_i = _new_design(B_i, Theta, p)
-                var_i, _, _ = _conditional(M_i, _prior_diag(M_i, B_i, p), factor)
-                var[:, cols] = var_i.reshape(p, m_i)
+        xhat[at] = mu_new + (B_new @ (Theta @ z).reshape(p, c).T).T
+        if bands:
+            # without observations cross and G are empty and the prior stays
+            cross = M_new @ Bo_i.T  # (p m, m_i)
+            G = dpotrs(cf, cross.T)[0] if m_i else cross.T  # V^{-1} cross'
+            var_i = prior_diag - (cross.T * G).sum(axis=0)
+            var[at] = var_i.reshape(p, -1)
+        if full_cov:
+            C = prior - cross @ G
+            cov[i] = 0.5 * (C + C.T)
+            np.fill_diagonal(cov[i], var_i)  # the band's variance, exactly
 
     lower = upper = None
     if bands:
-        var = np.clip(var.reshape(xhat.shape), 0.0, None)
+        var = np.clip(var, 0.0, None)
         half = _normal_quantile(level) * np.sqrt(var)
         lower, upper = xhat - half, xhat + half
     return BatchPrediction(
@@ -343,19 +356,6 @@ def _bases(model, t):
     return evaluated[id(model.ws)], [evaluated[id(mean.ws)] for mean in model.means]
 
 
-def _factor(V):
-    """Upper Cholesky factor of V, jittered once if needed; returns
-    (factor, jitter). V itself is left unchanged."""
-    cf, info = dpotrf(V, clean=0)
-    if info == 0:
-        return cf, 0.0
-    jitter = V_JITTER * float(np.trace(V)) / V.shape[0]
-    cf, info = dpotrf(V + jitter * np.eye(V.shape[0]), clean=0)
-    if info:
-        raise FuncovError("observation covariance is singular even after jitter")
-    return cf, jitter
-
-
 def _new_design(Bn, Theta, p):
     """``kron(I_p, Bn) Theta`` without the Kronecker product: (p m, pc)."""
     m, c = Bn.shape
@@ -368,16 +368,3 @@ def _prior_diag(M_new, Bn, p):
     blocks = M_new.reshape(p, m, p, c)
     return np.concatenate([(blocks[k, :, k, :] * Bn).sum(axis=1) for k in range(p)])
 
-
-def _conditional(M_new, prior_diag, factor):
-    """Pointwise conditional variance (unclipped), with the cross
-    covariance ``M_new B_o'`` and ``G = V^{-1} cross'`` it came from.
-
-    A subject without observations keeps the prior (cross and G None).
-    """
-    if factor is None:
-        return prior_diag, None, None
-    cf, Bo_i = factor
-    cross = M_new @ Bo_i.T  # (pm, m_i)
-    G = dpotrs(cf, cross.T)[0]  # (m_i, pm)
-    return prior_diag - (cross.T * G).sum(axis=0), cross, G

@@ -227,6 +227,8 @@ def generate(design: SimDesign):
 
 def _trapz_grid(grid_size: int):
     """Uniform grid on [0, 1] and its trapezoid weights."""
+    if grid_size < 2:
+        raise FuncovError(f"a trapezoid grid needs at least 2 points, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
     w = np.empty_like(grid)
     w[1:-1] = 0.5 * (grid[2:] - grid[:-2])

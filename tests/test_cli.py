@@ -561,6 +561,22 @@ def test_evaluate_records_replicate_failures(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_grid_below_two_points_is_invalid(tmp_path, capsys, command):
+    if command == "predict":
+        _, _, model_path = prediction_model(tmp_path)
+        query = write_query(tmp_path, [["a", "y1", "0.2", "1.0"]])
+        argv = ["predict", "--model", str(model_path), "--data", str(query),
+                "--out", str(tmp_path / "pred.csv"), "--grid-size", "0"]
+    else:
+        argv = evaluate_args(tmp_path / "e", ("--grid-size", "1"))
+    code, captured = run_fail(capsys, argv)
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid"
+    assert "grid_size must be >= 2" in payload["message"]
+
+
 def test_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 7}))

@@ -294,6 +294,8 @@ def test_validation_errors():
         predict_subject(model, eig, good_t, good_v, [0.5], npc=99)
     with pytest.raises(FuncovError, match="mismatch"):
         predict_subject(model, eig, [np.array([0.5, 0.6]), np.zeros(0)], good_v, [0.5])
+    with pytest.raises(FuncovError, match="grid is empty"):
+        predict_subject(model, eig, good_t, good_v, [])
 
 
 @pytest.mark.parametrize(
@@ -439,25 +441,57 @@ def test_equal_but_distinct_mean_workspace_predicts_bit_for_bit():
             np.testing.assert_array_equal(getattr(apart, name), getattr(shared, name))
 
 
-def test_batch_subjects_are_independent_bit_for_bit():
+def subject_parts(res, data):
+    """Each subject's share of a batch prediction: its row of every field,
+    or at observed times its pooled columns of the pointwise fields."""
+    n = data.n_subjects
+    if res.cov is not None:  # a grid with full covariances
+        names = ("xhat", "var", "lower", "upper", "cov", "scores", "jitter")
+        return [{name: getattr(res, name)[i] for name in names} for i in range(n)]
+    owner = np.concatenate(
+        [np.repeat(np.arange(n), data.pooled(k)[2]) for k in range(data.n_responses)]
+    )
+    names = ("times", "xhat", "var", "lower", "upper")
+    return [
+        {**{name: getattr(res, name)[..., owner == i] for name in names},
+         "scores": res.scores[i], "jitter": res.jitter[i]}
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["grid", "observed"])
+def test_batch_subjects_are_independent_bit_for_bit(mode):
     model, labels, obs_t, obs_v = mixed_batch()
     eig = eigendecompose(model)
     grid = np.linspace(0.0, 1.0, 9)
     n = len(labels)
-    full = predict_batch(model, eig, batch_of(labels, obs_t, obs_v, range(n)), grid, full_cov=True)
-    fields = ("xhat", "var", "lower", "upper", "cov", "scores", "jitter")
+
+    def run(keep):
+        # on the grid with full covariances, or at observed times with a band
+        data = batch_of(labels, obs_t, obs_v, keep)
+        kwargs = dict(times=grid, full_cov=True) if mode == "grid" else {}
+        res = predict_batch(model, eig, data, **kwargs)
+        return res, subject_parts(res, data)
+
+    full, full_parts = run(range(n))
+
+    def check(parts, keep):
+        assert len(parts) == len(keep)
+        for part, i in zip(parts, keep):
+            assert part.keys() == full_parts[i].keys()
+            for name, value in part.items():
+                np.testing.assert_array_equal(value, full_parts[i][name], err_msg=name)
 
     perm = [3, 0, 4, 2, 1]
-    permuted = predict_batch(model, eig, batch_of(labels, obs_t, obs_v, perm), grid, full_cov=True)
-    for name in fields:
-        np.testing.assert_array_equal(getattr(permuted, name), getattr(full, name)[perm])
+    check(run(perm)[1], perm)
 
     # without the jittered subject the others are unchanged, bit for bit
     rest = [i for i in range(n) if labels[i] != "repeat"]
-    without = predict_batch(model, eig, batch_of(labels, obs_t, obs_v, rest), grid, full_cov=True)
+    without, without_parts = run(rest)
     assert np.all(without.jitter == 0.0)
-    for name in fields:
-        np.testing.assert_array_equal(getattr(without, name), getattr(full, name)[rest])
+    check(without_parts, rest)
+    if mode == "observed":
+        return
 
     # predict_subject is the batch path on one subject
     for i in range(n):

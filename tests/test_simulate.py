@@ -284,6 +284,15 @@ def test_rise_zero_for_perfect_estimate():
     assert funcov.rise(bumped, truth) > 0.0
 
 
+@pytest.mark.parametrize("grid_size", [0, 1])
+def test_metrics_reject_grids_below_two_points(grid_size):
+    # the trapezoid weights need two points; one used to fail with an IndexError
+    model = make_psd_model(seed=2, p=3)
+    truth = StubTruth(d=np.ones(1), cov_fn=lambda k, kp, s, t: np.zeros((s.size, t.size)))
+    with pytest.raises(FuncovError, match="at least 2 points"):
+        funcov.rise(model, truth, grid_size=grid_size)
+
+
 def test_ise_sign_invariant_and_orthogonal_cases():
     model = make_psd_model(seed=4, p=3)
     eig = eigendecompose(model)
