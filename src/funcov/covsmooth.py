@@ -14,6 +14,11 @@ covariances ``C_i = r_i r'_i'``. The design rows ``X_i = P'_i (x) P_i``
 are never formed: selection and the solve use the c x c Grams
 ``G_i = P_i'P_i`` and ``G'_i``, with ``X_i'X_i = G'_i (x) G_i`` and
 ``X_i'vec(C_i) = vec(P_i' C_i P'_i)``.
+
+An auto block (k = k') is the cross block with ``P'_i = P_i`` seen through
+the half-vectorization ``eta`` of its symmetric coefficient matrix, plus a
+same-point column for the noise variance. This module alone knows that
+map, and applies it as two index maps.
 """
 
 from __future__ import annotations
@@ -132,25 +137,33 @@ def _vec(M):
     return M.transpose(0, 2, 1).reshape(M.shape[0], -1)
 
 
-def _duplication_gather(c: int):
-    """``M -> _vec(M) @ duplication_matrix(c)`` for (n, c, c) stacks.
+def _half_vec_maps(c: int):
+    """The half-vectorization of symmetric c x c matrices, as index maps.
 
-    Column h of the duplication matrix adds the entries (i, j) and (j, i)
-    of the lower-triangle pair i >= j it stands for (once on the
-    diagonal), so the product is an index gather over each matrix's
-    row-major entries rather than a GEMM against a 0/1 matrix.
+    ``eta`` is the column-stacked lower triangle of a symmetric ``S``
+    (diagonal included), and the 0/1 duplication matrix ``Gc`` has
+    ``Gc eta = vec(S)``. Returns ``(dup, sym)``: ``dup`` maps the rows of
+    an (n, c^2) or (n, c, c) stack ``M`` to ``vec(M_i)'Gc``, whose entries
+    are ``M_ij + M_ji`` (``M_ii`` on the diagonal), and ``sym`` maps
+    ``eta`` to ``Gc eta``. Both are index gathers, equal bit for bit to
+    the products with ``Gc``.
     """
     j, i = np.triu_indices(c)
     lo, up, off = i * c + j, j * c + i, (i != j).astype(float)
+    pair = np.empty(c * c, dtype=np.intp)
+    pair[lo] = pair[up] = np.arange(lo.size)
 
-    def gather(M):
+    def dup(M):
         # np.take keeps the result row-major, as the GEMM's was; fancy
         # indexing would return it column-major, and a product with it
         # (Hg @ eta) would then sum in another order
         M = M.reshape(M.shape[0], c * c)
         return np.take(M, lo, axis=1) + np.take(M, up, axis=1) * off
 
-    return gather
+    def sym(eta):
+        return eta[pair]
+
+    return dup, sym
 
 
 def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
@@ -160,16 +173,16 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     takes them. The Grams ``G_i``, ``G'_i`` and ``P_i' C_i P'_i`` are
     batched products over the block's zero-padded stacks. A cross
     block's ``X_i'X_i = G'_i (x) G_i`` maps ``vec(T)`` to
-    ``vec(G_i T G'_i)``. An auto block's design is ``[X_i Gc, z_i]`` with
-    the same-point indicator ``z_i``; with ``S = mat(Gc eta)`` its
-    ``X_i'X_i`` maps ``[eta; sigma]`` to
-    ``[Gc'vec(G_i S G_i) + sigma Gc'vec(G_i); <G_i, S> + m_i sigma]``.
+    ``vec(G_i T G'_i)``, two small products per subject of which the
+    first is a single (n c, c) GEMM over the stacked ``G'_i``.
 
-    Each action, run once per rho of the grid, is two small products per
-    subject. A cross block's first one is a single (n c, c) GEMM over the
-    stacked ``G'_i``; an auto block applies ``Gc'`` as an index gather
-    (:func:`_duplication_gather`) rather than a GEMM against the 0/1
-    duplication matrix.
+    An auto block is the cross block with ``G'_i = G_i`` seen through the
+    half-vectorization maps of :func:`_half_vec_maps`. Its design is
+    ``[X_i Gc, z_i]`` with the same-point indicator ``z_i``, so its Gram,
+    right-hand sides and action are the cross block's with ``dup``
+    applied on each side that meets ``Gc``, plus the indicator's row and
+    column. With ``S = mat(sym(eta))`` the action maps ``[eta; sigma]`` to
+    ``[dup(vec(G_i S G_i)) + sigma dup(G_i); <G_i, S> + m_i sigma]``.
     """
     c, n = ws.c, block.C.shape[0]
     Pt = block.P.transpose(0, 2, 1)
@@ -177,45 +190,51 @@ def _block_statistics(block: AuxBlock, ws: SplineWorkspace):
     rhs = _vec(Pt @ block.C @ block.Pp)
     # sum_i kron(G'_i, G_i)
     K = np.einsum("iac,ibd->abcd", Gp, G, optimize=True).reshape(c * c, c * c)
+    Gp_rows = Gp.reshape(n * c, c)
+
+    def apply_cross(beta):
+        # vec(G_i T G'_i) is the row-major flattening of G'_i T' G_i
+        # (both Grams are symmetric), and beta.reshape(c, c) is T'
+        return ((Gp_rows @ beta.reshape(c, c)).reshape(n, c, c) @ G).reshape(n, c * c)
+
     if block.k != block.kp:
-        Gp_rows = Gp.reshape(n * c, c)
-
-        def apply_cross(beta):
-            # vec(G_i T G'_i) is the row-major flattening of G'_i T' G_i
-            # (both Grams are symmetric), and beta.reshape(c, c) is T'
-            return ((Gp_rows @ beta.reshape(c, c)).reshape(n, c, c) @ G).reshape(n, c * c)
-
         return K, rhs, apply_cross
 
-    Gc, dup, m = ws.Gc, _duplication_gather(c), block.m
+    dup, sym = _half_vec_maps(c)
+    m = block.m
     Hg = dup(G)  # rows Gc'vec(G_i) = (X_i Gc)'z_i
     h = Hg.sum(axis=0)
-    gram = np.block([[Gc.T @ K @ Gc, h[:, None]], [h, m.sum()]])
-    rhs = np.column_stack([rhs @ Gc, np.trace(block.C, axis1=1, axis2=2)])
+    # Gc'K Gc as (Gc'K) Gc, rows summed first as in the dense product; K is
+    # symmetric only up to rounding, so the other grouping differs in bits
+    gram = np.block([[dup(dup(K.T).T), h[:, None]], [h, m.sum()]])
+    rhs = np.column_stack([dup(rhs), np.trace(block.C, axis1=1, axis2=2)])
 
     def apply(beta):
         eta, sigma = beta[:-1], beta[-1]
-        S = (Gc @ eta).reshape(c, c, order="F")
-        return np.column_stack([dup(G @ S @ G) + sigma * Hg, Hg @ eta + sigma * m])
+        return np.column_stack([dup(apply_cross(sym(eta))) + sigma * Hg, Hg @ eta + sigma * m])
 
     return gram, rhs, apply
 
 
 def _auto_penalty(ws: SplineWorkspace):
     """Penalty of the symmetry-constrained coefficients ``[eta; sigma]``."""
-    return block_diag(ws.Gc.T @ ws.P1 @ ws.Gc, 0.0)
+    dup, _ = _half_vec_maps(ws.c)
+    return block_diag(dup(dup(ws.P1.T).T), 0.0)
 
 
-def _fit_block(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid):
+def _fit_block(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid) -> BlockFit:
     """Select one block's penalty by the fast LOSO criterion and solve there.
 
     Cross blocks mix the two tensor-product penalties as
     ``rho * (w P1 + (1 - w) P2)`` over the full (rho, w) grid. Auto
     blocks carry the symmetry constraint, under which both penalties
-    coincide, so only rho is searched (reported weight 0.5). Returns the
-    :class:`SelectionResult`, the selected levels ``l`` and the solution
-    of ``(X'X + sum_j l_j P_j) beta = X'C``. A grid on which no point
-    scores finite raises :class:`FuncovError` naming the block.
+    coincide, so only rho is searched (reported weight 0.5). The solution
+    of ``(X'X + sum_j l_j P_j) beta = X'C`` at the selected levels ``l``
+    gives the block's :class:`BlockFit`: a cross block's ``theta`` is
+    ``beta`` reshaped, an auto block's is ``sym(eta)`` with the raw noise
+    variance ``sigma`` as both ``sigma2`` and ``sigma2_raw``. A grid on
+    which no point scores finite raises :class:`FuncovError` naming the
+    block.
     """
     rho_grid = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, float)
     if rho_grid.size == 0 or not np.all(np.isfinite(rho_grid) & (rho_grid >= 0)):
@@ -244,7 +263,12 @@ def _fit_block(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid):
     # left to right, (X'X + l_1 P_1) + l_2 P_2: the order fixes the last bits
     A = sum((lam * P for lam, P in zip(lambdas, penalties)), gram)
     beta = solve_penalized(A, rhs.sum(axis=0), penalty_is_zero=not any(lambdas), context=name)
-    return sel, lambdas, beta
+    c = ws.c
+    if not auto:
+        return BlockFit(beta.reshape(c, c, order="F"), lambdas, None, None, sel)
+    _, sym = _half_vec_maps(c)
+    sigma2 = float(beta[-1])
+    return BlockFit(sym(beta[:-1]).reshape(c, c), lambdas, sigma2, sigma2, sel)
 
 
 def fit_cross(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None) -> BlockFit:
@@ -255,14 +279,7 @@ def fit_cross(block: AuxBlock, ws: SplineWorkspace, rho_grid=None, w_grid=None) 
     """
     if block.k == block.kp:
         raise FuncovError("fit_cross expects an off-diagonal block")
-    sel, lambdas, theta_vec = _fit_block(block, ws, rho_grid, w_grid)
-    return BlockFit(
-        theta=theta_vec.reshape(ws.c, ws.c, order="F"),
-        lambdas=lambdas,
-        sigma2=None,
-        sigma2_raw=None,
-        selection=sel,
-    )
+    return _fit_block(block, ws, rho_grid, w_grid)
 
 
 def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
@@ -276,22 +293,13 @@ def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
     """
     if block.k != block.kp:
         raise FuncovError("fit_auto expects a diagonal block")
-    sel, lambdas, beta = _fit_block(block, ws, rho_grid, None)
-    eta, sigma2_raw = beta[:-1], float(beta[-1])
-    theta = (ws.Gc @ eta).reshape(ws.c, ws.c, order="F")
-    sigma2 = sigma2_raw
-    if sigma2 < 0.0:
-        sigma2 = SIGMA2_CLIP_FACTOR * block.y_var
+    fit = _fit_block(block, ws, rho_grid, None)
+    if fit.sigma2_raw < 0.0:
+        fit = replace(fit, sigma2=SIGMA2_CLIP_FACTOR * block.y_var)
         warnings.warn(
-            f"negative noise variance {sigma2_raw:.3e} for response "
-            f"{block.k}; clipped to {sigma2:.3e}",
+            f"negative noise variance {fit.sigma2_raw:.3e} for response "
+            f"{block.k}; clipped to {fit.sigma2:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return BlockFit(
-        theta=theta,
-        lambdas=lambdas,
-        sigma2=sigma2,
-        sigma2_raw=sigma2_raw,
-        selection=sel,
-    )
+    return fit

@@ -217,24 +217,32 @@ def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
     -------
     SelectionResult
         Ties are broken toward larger rho, then larger first weight.
+
+    Grid points whose score is not finite are skipped, with one
+    ``RuntimeWarning`` per call that gives their count and rho values. If
+    no point is finite, that warning is followed by ``FloatingPointError``.
     """
     sel = GridSelector(gram, rhs, norm_y2, apply, penalties)
-    surface = []
+    surface, skipped = [], []
     best = None
     for weights in weight_grid:
         scores = sel.for_weights(weights).score_all(rho_grid)
-        for rho, val in zip(map(float, rho_grid), scores):
+        for j, (rho, val) in enumerate(zip(map(float, rho_grid), scores)):
             surface.append((rho, tuple(weights), float(val)))
             if not np.isfinite(val):
-                warnings.warn(
-                    f"skipping non-finite selection score at rho={rho!r}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                skipped.append(j)
                 continue
             key = (val, -rho, tuple(-w for w in weights))
             if best is None or key <= best[0]:
                 best = (key, rho, weights, float(val))
+    if skipped:
+        rhos = [float(rho_grid[j]) for j in sorted(set(skipped))]
+        warnings.warn(
+            f"skipping {len(skipped)} grid point(s) with a non-finite selection score, "
+            f"at rho={rhos}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if best is None:
         raise FloatingPointError("selection criterion was non-finite on the whole grid")
     _, rho, weights, score = best

@@ -2,10 +2,8 @@
 
 A workspace bundles a clamped B-spline basis on a fixed domain together
 with the matrices every later stage needs: the second-order difference
-penalty, the two tensor-product penalties, the Gram matrix of the basis
-and its symmetric square roots, and the duplication matrix that maps the
-half-vectorization of a symmetric coefficient matrix to its full
-vectorization.
+penalty, the two tensor-product penalties, and the Gram matrix of the
+basis and its symmetric square roots.
 
 Times are mapped affinely onto [0, 1] before basis evaluation; the Gram
 matrix is expressed in original time units so inner products, eigenvalues
@@ -49,26 +47,6 @@ def diff_matrix(c: int) -> np.ndarray:
     return D
 
 
-def duplication_matrix(c: int) -> np.ndarray:
-    """Duplication matrix of shape (c^2, c(c+1)/2).
-
-    Columns are indexed by the column-stacked lower triangle (including
-    the diagonal) of a symmetric c x c matrix; ``Gc @ hvec(M)`` equals
-    ``vec(M)`` with column-major vec.
-    """
-    if c < 1:
-        raise FuncovError("duplication matrix needs c >= 1")
-    Gc = np.zeros((c * c, c * (c + 1) // 2))
-    h = 0
-    for j in range(c):
-        for i in range(j, c):
-            Gc[j * c + i, h] = 1.0
-            if i != j:
-                Gc[i * c + j, h] = 1.0
-            h += 1
-    return Gc
-
-
 @dataclass(frozen=True)
 class SplineWorkspace:
     """Immutable bundle of basis and penalty matrices.
@@ -94,8 +72,6 @@ class SplineWorkspace:
         Gram matrix of the basis over the domain.
     G_half, G_inv_half : ndarray
         Symmetric square root of G and its inverse.
-    Gc : ndarray
-        Duplication matrix of shape (c^2, c(c+1)/2).
 
     The basis evaluator on [0, 1] is built once, from the unit knots, when
     the workspace is constructed; it is not a constructor argument.
@@ -112,7 +88,6 @@ class SplineWorkspace:
     G: np.ndarray
     G_half: np.ndarray
     G_inv_half: np.ndarray
-    Gc: np.ndarray
     _unit_knots: np.ndarray = field(repr=False)
     _basis: BSpline = field(init=False, repr=False, compare=False)
 
@@ -189,7 +164,6 @@ def build_workspace(domain, n_interior: int, order: int = 4) -> SplineWorkspace:
         G=G,
         G_half=G_half,
         G_inv_half=G_inv_half,
-        Gc=duplication_matrix(c),
         _unit_knots=unit_knots,
     )
 

@@ -123,6 +123,23 @@ def aux_double_loop(times_k, resid_k, times_kp, resid_kp, basis, c, auto):
     return C, B, Z, slices
 
 
+def duplication_matrix(c):
+    """Duplication matrix ``Gc`` of shape (c^2, c(c+1)/2), as dense 0/1.
+
+    Columns are indexed by the column-stacked lower triangle (diagonal
+    included) of a symmetric c x c matrix ``M``, so that ``Gc @ hvec(M)``
+    equals the column-major ``vec(M)``.
+    """
+    Gc = np.zeros((c * c, c * (c + 1) // 2))
+    h = 0
+    for j in range(c):
+        for i in range(j, c):
+            Gc[j * c + i, h] = 1.0
+            Gc[i * c + j, h] = 1.0
+            h += 1
+    return Gc
+
+
 def row_statistics(X, y, slices):
     """Per-subject statistics of a dense stacked design, in the form
     ``funcov.crossval.GridSelector`` takes them.

@@ -159,13 +159,14 @@ def test_criterion_03_block_solvers_match_dense_ridge():
         afit = fit_auto(auto, ws, rho_grid=[rho])
         q = ws.c * (ws.c + 1) // 2
         C, B, Z, _ = dense_aux(data, zero_means(ws, 2), ws, 1, 1)
-        X = np.hstack([B @ ws.Gc, Z[:, None]])
+        Gc = oracles.duplication_matrix(ws.c)
+        X = np.hstack([B @ Gc, Z[:, None]])
         Q = np.zeros((q + 1, q + 1))
-        Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
+        Q[:-1, :-1] = Gc.T @ ws.P1 @ Gc
         beta = np.linalg.solve(X.T @ X + rho * Q, X.T @ C)
         np.testing.assert_allclose(
             afit.theta,
-            (ws.Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"),
+            (Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"),
             rtol=1e-10,
             atol=1e-12,
         )

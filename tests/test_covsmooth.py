@@ -13,7 +13,7 @@ from funcov import covsmooth
 from funcov._linalg import solve_penalized
 from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross
 from funcov.crossval import GridSelector
-from funcov.splines import duplication_matrix, eval_basis_matrix
+from funcov.splines import eval_basis_matrix
 
 import oracles
 from conftest import (
@@ -254,13 +254,14 @@ def test_auto_matches_dense_solve():
     fit = fit_auto(block, ws, rho_grid=[rho])
     q = ws.c * (ws.c + 1) // 2
     C, B, Z, _ = dense_aux(data, zero_means(ws, 1), ws, 0, 0)
-    X = np.hstack([B @ ws.Gc, Z[:, None]])
+    Gc = oracles.duplication_matrix(ws.c)
+    X = np.hstack([B @ Gc, Z[:, None]])
     Q = np.zeros((q + 1, q + 1))
-    Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
+    Q[:-1, :-1] = Gc.T @ ws.P1 @ Gc
     beta = np.linalg.solve(X.T @ X + rho * Q, X.T @ C)
     np.testing.assert_allclose(
         fit.theta,
-        (ws.Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"),
+        (Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"),
         rtol=1e-10,
         atol=1e-12,
     )
@@ -290,7 +291,8 @@ def test_block_solve_adds_penalties_left_to_right():
     beta = solve_penalized(gram + rho * covsmooth._auto_penalty(ws), rhs.sum(axis=0))
     fit = fit_auto(block, ws, rho_grid=[rho])
     assert fit.lambdas == (rho,)
-    np.testing.assert_array_equal(fit.theta, (ws.Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"))
+    Gc = oracles.duplication_matrix(ws.c)
+    np.testing.assert_array_equal(fit.theta, (Gc @ beta[:-1]).reshape(ws.c, ws.c, order="F"))
     assert fit.sigma2_raw == beta[-1]
 
 
@@ -318,7 +320,8 @@ def test_block_statistics_match_the_dense_design(pair):
     block = build_aux(data, zero_means(ws, 2), ws, *pair)
     gram, rhs, apply = covsmooth._block_statistics(block, ws)
     C, B, Z, slices = dense_aux(data, zero_means(ws, 2), ws, *pair)
-    X = B if Z is None else np.hstack([B @ ws.Gc, Z[:, None]])
+    Gc = oracles.duplication_matrix(ws.c)
+    X = B if Z is None else np.hstack([B @ Gc, Z[:, None]])
     beta = np.random.default_rng(14).standard_normal(X.shape[1])
     expect_rhs, expect_apply = [], []
     for start, stop in slices:
@@ -336,13 +339,47 @@ def test_block_statistics_match_the_dense_design(pair):
     assert_close(apply(beta), np.array(expect_apply))
 
 
+def test_duplication_matrix_round_trip():
+    for c in (3, 5, 8):
+        Gc = oracles.duplication_matrix(c)
+        assert Gc.shape == (c * c, c * (c + 1) // 2)
+        rng = np.random.default_rng(c)
+        A = rng.standard_normal((c, c))
+        M = A + A.T
+        # column-stacked lower triangle
+        half = np.concatenate([M[j:, j] for j in range(c)])
+        np.testing.assert_array_equal(Gc @ half, M.ravel(order="F"))
+
+
+# The half-vectorization maps stand in for products with the 0/1 duplication
+# matrix; the auto block's fit is bit-identical to the products only if each
+# map is, so these compare with assert_array_equal.
 @pytest.mark.parametrize("c", [3, 4, 13])
 def test_duplication_gather_equals_the_duplication_product(c):
     # non-symmetric stacks, so each of the two entries a column adds counts
     M = np.random.default_rng(c).standard_normal((7, c, c))
-    np.testing.assert_array_equal(
-        covsmooth._duplication_gather(c)(M), covsmooth._vec(M) @ duplication_matrix(c)
-    )
+    dup, _ = covsmooth._half_vec_maps(c)
+    np.testing.assert_array_equal(dup(M), covsmooth._vec(M) @ oracles.duplication_matrix(c))
+
+
+@pytest.mark.parametrize("c", [3, 4, 13])
+def test_symmetric_scatter_equals_the_duplication_product(c):
+    eta = np.random.default_rng(c).standard_normal(c * (c + 1) // 2)
+    _, sym = covsmooth._half_vec_maps(c)
+    full = oracles.duplication_matrix(c) @ eta
+    np.testing.assert_array_equal(sym(eta), full)
+    # the auto block's theta, read row-major from the symmetric vec
+    np.testing.assert_array_equal(sym(eta).reshape(c, c), full.reshape(c, c, order="F"))
+
+
+@pytest.mark.parametrize("c", [3, 4, 13])
+def test_two_sided_gather_equals_the_duplication_sandwich(c):
+    # the auto block's Gram and penalty, Gc'K Gc; K is not symmetric, as
+    # a summed Gram is symmetric only up to rounding
+    K = np.random.default_rng(c).standard_normal((c * c, c * c))
+    dup, _ = covsmooth._half_vec_maps(c)
+    Gc = oracles.duplication_matrix(c)
+    np.testing.assert_array_equal(dup(dup(K.T).T), Gc.T @ K @ Gc)
 
 
 def test_auto_recovers_exact_surface():
@@ -414,9 +451,10 @@ def test_selection_surface_matches_direct_formula(pair):
     if Z is None:
         X, penalties = B, [ws.P1, ws.P2]
     else:
-        X = np.hstack([B @ ws.Gc, Z[:, None]])
+        Gc = oracles.duplication_matrix(ws.c)
+        X = np.hstack([B @ Gc, Z[:, None]])
         Q = np.zeros((X.shape[1], X.shape[1]))
-        Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
+        Q[:-1, :-1] = Gc.T @ ws.P1 @ Gc
         penalties = [Q]
     assert len(sel.surface) == (6 if Z is None else 3)
     for rho, weights, val in sel.surface:
@@ -455,9 +493,10 @@ def test_fast_pick_is_near_the_exact_loso_minimum(loso_design, pair):
     sel = select_smoothing(build_aux(data, means, ws, *pair), ws)
     C, B, Z, slices = dense_aux(data, means, ws, *pair)
     if auto:
-        X = np.hstack([B @ ws.Gc, Z[:, None]])
+        Gc = oracles.duplication_matrix(ws.c)
+        X = np.hstack([B @ Gc, Z[:, None]])
         Q = np.zeros((X.shape[1], X.shape[1]))
-        Q[:-1, :-1] = ws.Gc.T @ ws.P1 @ ws.Gc
+        Q[:-1, :-1] = Gc.T @ ws.P1 @ Gc
         penalties = [Q]
     else:
         X, penalties = B, [ws.P1, ws.P2]
@@ -490,7 +529,7 @@ def test_symmetric_theta_equalizes_both_penalties():
     rng = np.random.default_rng(40)
     ws = build_workspace((0.0, 1.0), 2, 4)
     eta = rng.standard_normal(ws.c * (ws.c + 1) // 2)
-    theta = ws.Gc @ eta
+    theta = oracles.duplication_matrix(ws.c) @ eta
     assert theta @ ws.P1 @ theta == pytest.approx(theta @ ws.P2 @ theta, rel=1e-10)
 
 

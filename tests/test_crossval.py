@@ -160,8 +160,8 @@ def test_non_finite_scores_warn_and_skip():
 
 
 def test_non_finite_score_warning_names_a_plain_float():
-    # an action returning NaN makes every score non-finite; the warning
-    # names each rho of the numpy grid as a plain float
+    # an action returning NaN makes every score non-finite; one warning
+    # counts them and names the rho of the numpy grid as plain floats
     X, y, slices = random_instance(9, q=5)
     gram, rhs, norm_y2, apply = oracles.row_statistics(X, y, slices)
     with pytest.warns(RuntimeWarning) as record:
@@ -171,8 +171,19 @@ def test_non_finite_score_warning_names_a_plain_float():
                 [np.eye(5)], np.array([0.5, 2.0]), [(1.0,)],
             )
     assert [str(w.message) for w in record] == [
-        "skipping non-finite selection score at rho=0.5",
-        "skipping non-finite selection score at rho=2.0",
+        "skipping 2 grid point(s) with a non-finite selection score, at rho=[0.5, 2.0]",
+    ]
+
+
+def test_non_finite_scores_warn_once_per_selection():
+    # a NaN rho is non-finite under both weights: two points, one warning
+    X, y, slices = random_instance(9, q=5)
+    P = [np.eye(5), 2.0 * np.eye(5)]
+    with pytest.warns(RuntimeWarning) as record:
+        res = dense_select(X, y, slices, P, [np.nan, 2.0], [(0.3, 0.7), (0.7, 0.3)])
+    assert res.rho == 2.0
+    assert [str(w.message) for w in record] == [
+        "skipping 2 grid point(s) with a non-finite selection score, at rho=[nan]",
     ]
 
 

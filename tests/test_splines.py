@@ -1,10 +1,10 @@
-"""Basis workspace: knots, basis evaluation, Gram, penalties, duplication."""
+"""Basis workspace: knots, basis evaluation, Gram, penalties."""
 
 import numpy as np
 import pytest
 
 from funcov import DomainError, FuncovError, build_workspace
-from funcov.splines import diff_matrix, duplication_matrix, eval_basis_matrix
+from funcov.splines import diff_matrix, eval_basis_matrix
 
 import oracles
 from conftest import basis_at
@@ -193,18 +193,6 @@ def test_penalty_kron_structure():
     DtD = ws.D.T @ ws.D
     np.testing.assert_array_equal(ws.P1, np.kron(np.eye(ws.c), DtD))
     np.testing.assert_array_equal(ws.P2, np.kron(DtD, np.eye(ws.c)))
-
-
-def test_duplication_matrix_round_trip():
-    for c in (3, 5, 8):
-        Gc = duplication_matrix(c)
-        assert Gc.shape == (c * c, c * (c + 1) // 2)
-        rng = np.random.default_rng(c)
-        A = rng.standard_normal((c, c))
-        M = A + A.T
-        # column-stacked lower triangle
-        half = np.concatenate([M[j:, j] for j in range(c)])
-        np.testing.assert_array_equal(Gc @ half, M.ravel(order="F"))
 
 
 def test_eval_empty_times():
