@@ -14,7 +14,10 @@ vector, which the covariance smoother builds from c x c Gram matrices
 each penalty mixture once; in that basis a penalty level ``rho`` enters
 only through the diagonal ``d = 1 / (1 + rho s)``, so each rho costs one
 application of the callable (for a covariance block, two small c x c
-products per subject) and one (n, q) by (q, q) product.
+products per subject) and one (n, q) by (q, q) product. A score
+is the residual norm ``||y - S y||^2`` plus a nonnegative term, and the
+residual norm costs O(q); ``select_grid`` scores the grid in ascending
+residual norm and stops where that bound exceeds the best score so far.
 """
 
 from __future__ import annotations
@@ -114,8 +117,8 @@ def loso_shortcut_error(X, y, slices, A):
 class SelectionResult:
     """Outcome of a grid search.
 
-    ``surface`` lists (rho, weight, score) in evaluation order; non-finite
-    scores mark skipped grid points.
+    ``surface`` lists (rho, weight, score) in evaluation order, for the
+    scored grid points only; non-finite scores mark skipped grid points.
     """
 
     rho: float
@@ -135,8 +138,9 @@ class GridSelector:
     vector to the (n, q) stack of ``X_i'X_i beta`` (subjects in the order
     of ``rhs``) and the penalty matrices. Construction whitens ``X'X``;
     each call to :meth:`for_weights` eigendecomposes one penalty mixture,
-    and the returned stage prices any set of rho values. Of the inputs
-    only ``apply`` is kept.
+    and the returned stage prices any set of rho values. Of the inputs it
+    keeps ``apply`` and a copy of ``rhs``, which every stage scores
+    against.
     """
 
     def __init__(self, gram, rhs, norm_y2, apply, penalties):
@@ -146,57 +150,79 @@ class GridSelector:
         if tr > 0.0:
             Gn = Gn + (GRAM_RIDGE * tr / q) * np.eye(q)
         _, self._E = sym_sqrt_pair(Gn)
-        # whitened right-hand sides f_i = E X_i'y_i, one row per subject
-        self._Fw = np.asarray(rhs, dtype=float) @ self._E
-        self._f = self._Fw.sum(axis=0)
+        self._rhs = np.array(rhs, dtype=float)
+        # whitened right-hand side E X'y
+        self._f = self._E @ self._rhs.sum(axis=0)
         self._Pw = [self._E @ np.asarray(P, dtype=float) @ self._E for P in penalties]
         self.norm_y2 = float(norm_y2)
         self.apply = apply
 
+    @np.errstate(over="ignore", invalid="ignore")
     def for_weights(self, weights):
         """Diagonalize one penalty mixture; returns a per-weight stage."""
         s, U = np.linalg.eigh(sum(w * P for w, P in zip(weights, self._Pw)))
-        f_t, a = U.T @ self._f, self._Fw @ U
-        g = f_t**2 - (a * a).sum(axis=0)
-        return _WeightStage(s, self._E @ U, f_t, g, a, self.apply, self.norm_y2)
+        return _WeightStage(s, self._E @ U, U.T @ self._f, self._rhs, self.apply, self.norm_y2)
 
 
 @dataclass
 class _WeightStage:
     """One diagonalized penalty mixture ``E P E = U diag(s) U'``.
 
-    ``W = E U`` maps rotated coefficients back to the original ones, and
-    the rows of ``a`` are the subjects' rotated ``U' E X_i'y_i``.
+    ``W = E U`` maps rotated coefficients back to the original ones,
+    ``f_t = W' X'y``, and ``rhs`` is the selector's stack of ``X_i'y_i``.
+    Its arithmetic ignores overflow and invalid values: a non-finite
+    score is reported once, by :func:`select_grid`.
     """
 
     s: np.ndarray
     W: np.ndarray
     f_t: np.ndarray
-    g: np.ndarray
-    a: np.ndarray
+    rhs: np.ndarray
     apply: object
     norm_y2: float
 
+    def _rss(self, rho):
+        """``d``, ``v`` and the residual norm ``||y - S y||^2`` at one rho."""
+        # rho * s may overflow for degenerate whitenings; 1/inf = 0 is the
+        # correct limit, so the overflow is deliberate.
+        d = 1.0 / (1.0 + rho * self.s)
+        v = d * self.f_t
+        return d, v, self.norm_y2 + v @ (v - 2.0 * self.f_t)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def lower_bound(self, rho):
+        """``(rss, certified)`` at one rho: the residual norm and whether it
+        bounds the score from below.
+
+        The score is ``rss`` plus a term that is nonnegative whenever
+        ``d >= 0``, so a finite ``rss`` with ``d >= 0`` is certified; the
+        comparison holds bit for bit, since :meth:`score_all` adds the
+        term to this same ``rss``.
+        """
+        d, _, rss = self._rss(rho)
+        return rss, bool(np.isfinite(rss) and (d >= 0.0).all())
+
+    @np.errstate(over="ignore", invalid="ignore")
     def score_all(self, rhos):
         """Criterion values at every penalty level in ``rhos``.
 
-        With ``d = 1 / (1 + rho s)``, ``v = f_t d`` and
-        ``k_i = W' X_i'X_i W v``, the criterion is
-        ``||y||^2 + |v|^2 - 2 d'g - 4 sum_i (d a_i)'k_i + 2 sum_i d'(k_i k_i)``.
-        Each rho is priced by itself, with the same operations whatever
-        other rho share the call.
+        With ``d = 1 / (1 + rho s)``, ``v = d f_t`` and ``beta = W v``, the
+        criterion is ``rss + 2 <E'E, W D W'>``, where
+        ``rss = ||y||^2 + v'(v - 2 f_t) = ||y - S y||^2`` and the (n, q)
+        stack ``E = apply(beta) - rhs`` holds the ``X_i'(X_i beta - y_i)``.
+        Each rho costs one application of ``apply`` and one (n, q) by
+        (q, q) product ``E W``, whose column sums of squares give the
+        diagonal of ``W'E'E W``. They are nonnegative as computed, so with
+        ``d >= 0`` the score is never below ``rss``. Each rho is priced
+        by itself, with the same operations whatever other rho share the
+        call.
         """
         rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
         out = np.empty(rhos.size)
         for j, rho in enumerate(rhos):
-            # rho * s may overflow for degenerate whitenings; 1/inf = 0 is
-            # the correct limit, so the overflow is deliberate.
-            with np.errstate(over="ignore"):
-                d = 1.0 / (1.0 + rho * self.s)
-            v = d * self.f_t
-            k = self.apply(self.W @ v) @ self.W
-            corr = 2.0 * np.einsum("iq,iq->q", k, k) - 4.0 * np.einsum("iq,iq->q", k, self.a)
-            out[j] = self.norm_y2 + v @ v - 2.0 * (d @ self.g) + d @ corr
+            d, v, rss = self._rss(rho)
+            EW = (self.apply(self.W @ v) - self.rhs) @ self.W
+            out[j] = rss + 2.0 * (d @ np.einsum("ia,ia->a", EW, EW))
         return out
 
 
@@ -218,32 +244,54 @@ def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
     SelectionResult
         Ties are broken toward larger rho, then larger first weight.
 
-    Grid points whose score is not finite are skipped, with one
-    ``RuntimeWarning`` per call that gives their count and rho values. If
-    no point is finite, that warning is followed by ``FloatingPointError``.
+    Each grid point's score is its residual norm ``rss`` plus a
+    nonnegative term (:meth:`_WeightStage.score_all`), so ``rss`` is a
+    lower bound at O(q) cost. Every stage is built first and ``rss``
+    taken at every point; the points are then scored in ascending
+    ``rss``. From the first point whose certified bound exceeds the best
+    score so far, no certified point is scored, since every later bound
+    is at least as large. A point whose ``rss`` is not finite, or with
+    some ``d < 0``, is not certified and is always scored. The pick is
+    that of scoring every point, and ``surface`` holds the scored points
+    only.
+
+    Scored points whose score is not finite are skipped, with one
+    ``RuntimeWarning`` per call that gives their count and rho values.
+    The count is of scored points only: a point cut by its bound is not
+    scored, whatever its score would have been. If no point is finite,
+    that warning is followed by ``FloatingPointError``.
     """
     sel = GridSelector(gram, rhs, norm_y2, apply, penalties)
-    surface, skipped = [], []
-    best = None
+    rhos = [float(rho) for rho in rho_grid]
+    points = []
     for weights in weight_grid:
-        scores = sel.for_weights(weights).score_all(rho_grid)
-        for j, (rho, val) in enumerate(zip(map(float, rho_grid), scores)):
-            surface.append((rho, tuple(weights), float(val)))
-            if not np.isfinite(val):
-                skipped.append(j)
-                continue
-            key = (val, -rho, tuple(-w for w in weights))
-            if best is None or key <= best[0]:
-                best = (key, rho, weights, float(val))
+        stage = sel.for_weights(weights)
+        for j, rho in enumerate(rhos):
+            points.append((*stage.lower_bound(rho), j, tuple(weights), stage))
+    surface, skipped = [], []
+    best, best_score = None, np.inf
+    for i in np.argsort([p[0] for p in points], kind="stable"):
+        rss, certified, j, weights, stage = points[i]
+        if certified and rss > best_score:
+            continue
+        rho = rhos[j]
+        val = float(stage.score_all([rho])[0])
+        surface.append((rho, weights, val))
+        if not np.isfinite(val):
+            skipped.append(j)
+            continue
+        key = (val, -rho, tuple(-w for w in weights))
+        if best is None or key <= best[0]:
+            best, best_score = (key, rho, weights), val
     if skipped:
-        rhos = [float(rho_grid[j]) for j in sorted(set(skipped))]
+        skipped_rhos = [rhos[j] for j in sorted(set(skipped))]
         warnings.warn(
             f"skipping {len(skipped)} grid point(s) with a non-finite selection score, "
-            f"at rho={rhos}",
+            f"at rho={skipped_rhos}",
             RuntimeWarning,
             stacklevel=2,
         )
     if best is None:
         raise FloatingPointError("selection criterion was non-finite on the whole grid")
-    _, rho, weights, score = best
-    return SelectionResult(rho=rho, weight=weights[0], score=score, surface=surface)
+    _, rho, weights = best
+    return SelectionResult(rho=rho, weight=weights[0], score=best_score, surface=surface)

@@ -26,7 +26,7 @@ from funcov import (
 )
 from funcov.cli import main as cli_main
 from funcov.covsmooth import build_aux, fit_auto, fit_cross
-from funcov.crossval import select_grid
+from funcov.crossval import GridSelector, select_grid
 from funcov.fpca import eval_covariance, eval_eigenfunction
 from funcov.mean import loso_curve
 from funcov.simulate import true_covariance
@@ -86,12 +86,17 @@ def test_criterion_01_fast_selection_equals_direct_and_is_faster():
         for seed in range(10):
             X, y, slices = random_instance(seed, n=15, m_max=3, q=ws.c**2)
             stats = oracles.row_statistics(X, y, slices)
+            # every grid point, not only those select_grid scores
+            sel, scores = GridSelector(*stats, penalties), {}
+            for weights in w_grid:
+                for rho, val in zip(rho_grid, sel.for_weights(weights).score_all(rho_grid)):
+                    direct = oracles.direct_criterion(
+                        X, y, slices, rho * (weights[0] * ws.P1 + weights[1] * ws.P2)
+                    )
+                    assert val == pytest.approx(direct, rel=1e-8)
+                    scores[rho, weights[0]] = float(val)
             res = select_grid(*stats, penalties, rho_grid, w_grid)
-            for rho, weights, val in res.surface:
-                direct = oracles.direct_criterion(
-                    X, y, slices, rho * (weights[0] * ws.P1 + weights[1] * ws.P2)
-                )
-                assert val == pytest.approx(direct, rel=1e-8)
+            assert res.score == scores[res.rho, res.weight] == min(scores.values())
 
         # timing at n = 100 subjects, 5 points per response pair, c = 10
         ws_big = build_workspace((0.0, 1.0), 6, 4)  # c = 10

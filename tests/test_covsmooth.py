@@ -2,6 +2,7 @@
 
 import re
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -298,17 +299,21 @@ def test_block_solve_adds_penalties_left_to_right():
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 0)], ids=["cross", "auto"])
 def test_non_finite_grid_names_the_block(pair):
-    # finite data whose products overflow: no grid point scores finite, and
-    # the error is a FuncovError that names the block
+    # finite data whose products overflow: no grid point scores finite, the
+    # selection's one warning is the only one, and the error is a
+    # FuncovError that names the block
     ws = build_workspace((0.0, 1.0), 1, 4)
     data = residual_dataset(16, n=10, p=2, m_range=(2, 4))
     big = [(s, r, t, 1e150 * v) for s, r, t, v in data.iter_rows()]
     data = funcov.SparseFunctionalDataset.from_long(*zip(*big))
     block = build_aux(data, zero_means(ws, 2), ws, *pair)
     name = "auto block 0" if pair == (0, 0) else "cross block (0, 1)"
-    with np.errstate(all="ignore"), pytest.warns(RuntimeWarning, match="non-finite selection"):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
         with pytest.raises(FuncovError, match=re.escape(name) + ": selection criterion"):
             select_smoothing(block, ws, rho_grid=[0.1, 10.0])
+    assert [w.category for w in record] == [RuntimeWarning]
+    assert "non-finite selection score" in str(record[0].message)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (0, 0)], ids=["cross", "auto"])
@@ -443,10 +448,13 @@ def test_sigma2_negative_estimate_clipped_with_warning():
 def test_selection_surface_matches_direct_formula(pair):
     # block-level version of the fast-vs-direct identity, n=15, m=3, c=4;
     # an auto block is priced on its constrained design [B Gc, Z]
+    # on the scored points; the points the residual-norm bound cut score
+    # above the pick
     ws = build_workspace((0.0, 1.0), 1, 3)  # c = 4
     data = residual_dataset(2, n=15, p=2, m_range=(3, 3))
     block = build_aux(data, zero_means(ws, 2), ws, *pair)
-    sel = select_smoothing(block, ws, rho_grid=[1e-2, 1.0, 1e3], w_grid=[0.3, 0.7])
+    rho_grid, w_grid = [1e-2, 1.0, 1e3], [0.3, 0.7]
+    sel = select_smoothing(block, ws, rho_grid=rho_grid, w_grid=w_grid)
     C, B, Z, slices = dense_aux(data, zero_means(ws, 2), ws, *pair)
     if Z is None:
         X, penalties = B, [ws.P1, ws.P2]
@@ -456,11 +464,17 @@ def test_selection_surface_matches_direct_formula(pair):
         Q = np.zeros((X.shape[1], X.shape[1]))
         Q[:-1, :-1] = Gc.T @ ws.P1 @ Gc
         penalties = [Q]
-    assert len(sel.surface) == (6 if Z is None else 3)
+    weight_grid = [(w, 1.0 - w) for w in w_grid] if Z is None else [(1.0,)]
+    grid = {(rho, weights) for rho in rho_grid for weights in weight_grid}
+    scored = {(rho, weights) for rho, weights, _ in sel.surface}
+    assert len(scored) == len(sel.surface) and scored <= grid
     for rho, weights, val in sel.surface:
         penalty = rho * sum(w * P for w, P in zip(weights, penalties))
         direct = oracles.direct_criterion(X, C, slices, penalty)
         assert val == pytest.approx(direct, rel=1e-8)
+    for rho, weights in grid - scored:
+        penalty = rho * sum(w * P for w, P in zip(weights, penalties))
+        assert oracles.direct_criterion(X, C, slices, penalty) > sel.score
 
 
 # Excess of the exact LOSO error at the fast criterion's pick over the
@@ -500,11 +514,14 @@ def test_fast_pick_is_near_the_exact_loso_minimum(loso_design, pair):
         penalties = [Q]
     else:
         X, penalties = B, [ws.P1, ws.P2]
+    # the full grid, not sel.surface, which holds only the scored points
+    weight_grid = [(1.0,)] if auto else [(w, 1.0 - w) for w in covsmooth.W_GRID]
     exact = {
         (rho, weights): oracles.shortcut_loso_explicit(
             X, C, slices, X.T @ X + rho * sum(w * P for w, P in zip(weights, penalties))
         )
-        for rho, weights, _ in sel.surface
+        for rho in map(float, covsmooth.default_rho_grid())
+        for weights in weight_grid
     }
     (pick,) = [
         key for key in exact if key[0] == sel.rho and (auto or key[1][0] == sel.weight)

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from funcov import build_workspace
+import funcov
+from funcov import build_workspace, covsmooth
 from funcov.crossval import (
     LOSO_SINGULAR_TOL,
     GridSelector,
@@ -27,6 +28,26 @@ def dense_select(X, y, slices, penalties, rho_grid, weight_grid):
 
 def dense_selector(X, y, slices, penalties):
     return GridSelector(*oracles.row_statistics(X, y, slices), penalties)
+
+
+def exhaustive_select(stats, penalties, rho_grid, weight_grid):
+    """Every grid point scored by ``score_all``, with the residual-norm
+    bound beside each; the pick by select_grid's tie-break.
+
+    Returns ``((rho, weight, score), points)`` with ``points`` mapping
+    ``(rho, weights)`` to ``(score, rss, certified)``.
+    """
+    sel = GridSelector(*stats, penalties)
+    points, best = {}, None
+    for weights in weight_grid:
+        stage = sel.for_weights(weights)
+        scores = stage.score_all(rho_grid)
+        for rho, val in zip(map(float, rho_grid), map(float, scores)):
+            points[rho, tuple(weights)] = (val, *stage.lower_bound(rho))
+            key = (val, -rho, tuple(-w for w in weights))
+            if np.isfinite(val) and (best is None or key <= best[0]):
+                best = (key, (rho, weights[0], val))
+    return best[1], points
 
 
 def random_instance(seed, n=12, m_max=3, q=16, scale=1.0):
@@ -65,16 +86,22 @@ def test_fast_criterion_matches_direct_formula():
     weight_grid = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
     for seed in (0, 1):
         X, y, slices = random_instance(seed, n=15, m_max=3, q=16)
-        res = dense_select(X, y, slices, penalties, rho_grid, weight_grid)
-        for rho, weights, val in res.surface:
+        stats = oracles.row_statistics(X, y, slices)
+        # every grid point, not only those select_grid scores
+        pick, points = exhaustive_select(stats, penalties, rho_grid, weight_grid)
+        assert len(points) == len(rho_grid) * len(weight_grid)
+        for (rho, weights), (val, _, _) in points.items():
             penalty = rho * (weights[0] * ws.P1 + weights[1] * ws.P2)
             direct = oracles.direct_criterion(X, y, slices, penalty)
             assert val == pytest.approx(direct, rel=1e-8)
+        res = select_grid(*stats, penalties, rho_grid, weight_grid)
+        assert (res.rho, res.weight, res.score) == pick
 
 
 def test_stage_scores_without_raw_data():
-    # after construction the selector keeps only the X_i'X_i action: the
-    # raw data and the gram and right-hand sides it was given may change
+    # after construction the selector keeps the X_i'X_i action and its own
+    # copy of the right-hand sides: the raw data and the gram and
+    # right-hand sides it was given may change
     X, y, slices = random_instance(7, q=8)
     P = np.eye(8)
     gram, rhs, norm_y2, apply = oracles.row_statistics(X, y, slices)
@@ -109,9 +136,11 @@ def test_subject_permutation_invariance():
     res_b = dense_select(Xp, yp, slices_p, P, rho_grid, [(1.0,)])
 
     assert res_a.rho == res_b.rho
-    for (r1, w1, v1), (r2, w2, v2) in zip(res_a.surface, res_b.surface):
-        assert (r1, w1) == (r2, w2)
-        assert v1 == pytest.approx(v2, rel=1e-8)
+    assert res_a.score == pytest.approx(res_b.score, rel=1e-8)
+    # every grid point, not only those select_grid scores
+    scores_a = dense_selector(X, y, slices, P).for_weights((1.0,)).score_all(rho_grid)
+    scores_b = dense_selector(Xp, yp, slices_p, P).for_weights((1.0,)).score_all(rho_grid)
+    np.testing.assert_allclose(scores_b, scores_a, rtol=1e-8)
 
 
 def test_all_zero_design_collapses_to_norm_y2():
@@ -276,3 +305,87 @@ def test_loso_singular_flags_exactly_the_small_eigenvalues():
     assert expected.sum() == 8
     np.testing.assert_array_equal(loso_singular(M), expected)
     np.testing.assert_array_equal(loso_singular(M.reshape(4, 4, 3, 3)), expected.reshape(4, 4))
+
+
+def assert_pruning_is_exact(stats, penalties, rho_grid, weight_grid):
+    """select_grid picks the exhaustive argmin, bit for bit, and scores at
+    least every point whose residual norm does not exceed that score and
+    every point whose bound is not certified."""
+    res = select_grid(*stats, penalties, rho_grid, weight_grid)
+    pick, points = exhaustive_select(stats, penalties, rho_grid, weight_grid)
+    assert (res.rho, res.weight, res.score) == pick
+    scored = {(rho, weights) for rho, weights, _ in res.surface}
+    assert scored <= points.keys()
+    for rho, weights, val in res.surface:
+        assert not np.isfinite(val) or val == points[rho, weights][0]
+    for key, (val, rss, certified) in points.items():
+        if certified and np.isfinite(val):
+            assert val >= rss
+        if key not in scored:
+            assert certified and rss > res.score
+    return res
+
+
+def test_pruned_selection_equals_exhaustive_selection():
+    ws = build_workspace((0.0, 1.0), 1, 3)  # c = 4, q = 16
+    penalties = [ws.P1, ws.P2]
+    rho_grid = np.logspace(-3.0, 4.0, 12)
+    weight_grid = [(w, 1.0 - w) for w in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    pruned = 0
+    for seed in range(10):
+        X, y, slices = random_instance(seed, n=15, m_max=3, q=16)
+        res = assert_pruning_is_exact(
+            oracles.row_statistics(X, y, slices), penalties, rho_grid, weight_grid
+        )
+        pruned += len(rho_grid) * len(weight_grid) - len(res.surface)
+    assert pruned > 0
+
+
+def test_pruned_selection_keeps_ties_duplicates_and_non_finite_points():
+    ws = build_workspace((0.0, 1.0), 1, 3)
+    penalties = [ws.P1, ws.P2]
+    X, y, slices = random_instance(4, n=15, m_max=3, q=16)
+    weights = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.1)]
+    # y = 0: every score and every bound is exactly 0, so nothing is cut
+    stats = oracles.row_statistics(X, np.zeros_like(y), slices)
+    res = assert_pruning_is_exact(stats, penalties, [0.1, 1.0, 10.0], weights)
+    assert (res.rho, res.weight, res.score) == (10.0, 0.9, 0.0)
+    assert len(res.surface) == 9
+    stats = oracles.row_statistics(X, y, slices)
+    # a duplicated weight row
+    dup = [(0.3, 0.7), (0.7, 0.3), (0.3, 0.7)]
+    assert_pruning_is_exact(stats, penalties, np.logspace(-2.0, 3.0, 6), dup)
+    # a NaN rho is never cut, and is the only point the warning counts
+    with pytest.warns(RuntimeWarning, match=r"skipping 3 grid point\(s\).*rho=\[nan\]"):
+        res = assert_pruning_is_exact(stats, penalties, [0.01, np.nan, 1.0, 100.0], weights)
+    assert sum(np.isnan(rho) for rho, _, _ in res.surface) == 3
+    # an indefinite mixture: where 1 + rho s < 0 the bound does not hold,
+    # and those points are scored whatever their residual norm
+    indefinite = [-np.eye(16), np.eye(16)]
+    for seed in range(3):
+        X, y, slices = random_instance(seed, n=15, m_max=3, q=16)
+        stats = oracles.row_statistics(X, y, slices)
+        _, points = exhaustive_select(stats, indefinite, np.logspace(-3.0, 3.0, 13), weights)
+        assert any(val < rss for val, rss, _ in points.values())
+        assert_pruning_is_exact(stats, indefinite, np.logspace(-3.0, 3.0, 13), weights)
+
+
+def test_block_selection_equals_exhaustive_selection():
+    # every block of an n = 200 fit's data, on the fit's default grids
+    train, _ = funcov.generate(funcov.SimDesign(n=200, rho=0.9, snr=2.0, seed=5, n_test=0))
+    ws = build_workspace((0.0, 1.0), 9, 4)  # c = 13
+    means = [funcov.fit_mean(train, k, ws) for k in range(3)]
+    rho_grid = covsmooth.default_rho_grid()
+    scored = []
+    for k, kp in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]:
+        block = covsmooth.build_aux(train, means, ws, k, kp)
+        gram, rhs, apply = covsmooth._block_statistics(block, ws)
+        stats = (gram, rhs, float(np.vdot(block.C, block.C)), apply)
+        if k == kp:
+            penalties, weights = [covsmooth._auto_penalty(ws)], [(1.0,)]
+        else:
+            penalties = [ws.P1, ws.P2]
+            weights = [(w, 1.0 - w) for w in covsmooth.W_GRID]
+        res = assert_pruning_is_exact(stats, penalties, rho_grid, weights)
+        scored.append(len(res.surface))
+    assert sum(scored) < 3 * len(rho_grid) * (1 + len(covsmooth.W_GRID))
