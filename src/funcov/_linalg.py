@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-
-from .errors import SingularSystemError
 
 
 def sym_sqrt_pair(M, rel_floor=1e-12):
@@ -56,29 +51,3 @@ def eigh_desc(M):
             U[:, ell] = -col
     return d, U
 
-
-def solve_penalized(A, rhs, penalty_is_zero=False, context=""):
-    """Solve the symmetric normal system ``A x = rhs``.
-
-    Uses a Cholesky factorization. If that fails and a positive penalty
-    was present, falls back to the minimum-norm least-squares solution
-    with a warning; with a zero penalty the singularity is a hard error.
-    """
-    A = np.asarray(A, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    try:
-        return cho_solve(cho_factor(A), rhs)
-    except (LinAlgError, np.linalg.LinAlgError):
-        if penalty_is_zero:
-            raise SingularSystemError(
-                f"singular normal system{' in ' + context if context else ''}: "
-                "the design is deficient and no penalty regularizes it"
-            ) from None
-        warnings.warn(
-            f"normal system{' in ' + context if context else ''} was not "
-            "positive definite; using a minimum-norm least-squares solve",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        return sol

@@ -30,7 +30,6 @@ from itertools import repeat
 
 import numpy as np
 
-from ._linalg import eigh_desc
 from .config import RunConfig, merge_config
 from .dataset import CSV_HEADER, SparseFunctionalDataset
 from .errors import DataFormatError, DomainError, FuncovError
@@ -38,13 +37,7 @@ from .fpca import eval_covariance, eval_eigenfunction
 from .model_io import load_model, save_model
 from .pipeline import fit_covariance_model
 from .predict import predict_batch
-from .simulate import (
-    SimDesign,
-    coupling_matrix,
-    generate,
-    noise_variance,
-    replicate_metrics,
-)
+from .simulate import SimDesign, generate, replicate_metrics
 from . import __version__
 
 
@@ -146,7 +139,10 @@ def _config_from_args(args) -> RunConfig:
             r.strip() for r in flag_values["responses"].split(",") if r.strip()
         ]
     if "n" in flag_values and isinstance(flag_values["n"], str):
-        values = [int(v) for v in flag_values["n"].split(",") if v.strip()]
+        try:
+            values = [int(v) for v in flag_values["n"].split(",") if v.strip()]
+        except ValueError:  # not integers
+            values = []
         if not values:
             raise FuncovError("--n expects one or more integers")
         flag_values["n"] = values[0]
@@ -294,22 +290,20 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(cfg.replicates)
-    d, _ = eigh_desc(coupling_matrix(cfg.rho))
-    for r in range(cfg.replicates):
-        train, truth = generate(_sim_design(cfg, cfg.n, children[r]))
+    for r, seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)):
+        train, truth = generate(_sim_design(cfg, cfg.n, seed))
         train.to_csv(os.path.join(args.out_dir, f"replicate_{r:03d}.csv"))
         if truth.test_data is not None:
             truth.test_data.to_csv(
                 os.path.join(args.out_dir, f"replicate_{r:03d}_test.csv")
             )
+    # the spectrum and noise variance depend on the design alone, not the seed
     with open(os.path.join(args.out_dir, "truth.json"), "w") as fh:
         json.dump(
             {
                 "design": _design_record(cfg, "n"),
-                "eigenvalues": [float(v) for v in d],
-                "sigma_eps2": noise_variance(d, cfg.snr),
+                "eigenvalues": [float(v) for v in truth.d],
+                "sigma_eps2": truth.sigma_eps2,
             },
             fh,
             sort_keys=True,
@@ -332,23 +326,23 @@ METRIC_COLUMNS = (
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     n_values = cfg.n_values or [cfg.n]
-    children = np.random.SeedSequence(cfg.seed).spawn(len(n_values) * cfg.replicates)
+    seeds = iter(np.random.SeedSequence(cfg.seed).spawn(len(n_values) * cfg.replicates))
+    # a bad design flag fails the command before anything is written
+    runs = [
+        (n, r, _sim_design(cfg, n, next(seeds))) for n in n_values for r in range(cfg.replicates)
+    ]
+    os.makedirs(args.out_dir, exist_ok=True)
     rows, failures = [], []
-    for i, n in enumerate(n_values):
-        for r in range(cfg.replicates):
-            try:
-                metrics = replicate_metrics(
-                    _sim_design(cfg, n, children[i * cfg.replicates + r]),
-                    cfg,
-                    grid_size=cfg.grid_size,
-                    compare_zero_cross=cfg.compare_zero_cross,
-                )
-            except Exception as exc:  # noqa: BLE001 - recorded per replicate
-                failures.append({"n": n, "replicate": r, "error": str(exc)})
-                continue
-            rows.append((n, r, metrics))
+    for n, r, design in runs:
+        try:
+            metrics = replicate_metrics(
+                design, cfg, grid_size=cfg.grid_size, compare_zero_cross=cfg.compare_zero_cross
+            )
+        except Exception as exc:  # noqa: BLE001 - recorded per replicate
+            failures.append({"n": n, "replicate": r, "error": str(exc)})
+            continue
+        rows.append((n, r, metrics))
 
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
     with open(metrics_path, "w", newline="") as fh:

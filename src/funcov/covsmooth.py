@@ -27,11 +27,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import LinAlgError, block_diag, cho_factor, cho_solve
 
-from ._linalg import solve_penalized
 from .crossval import SelectionResult, select_grid
-from .errors import FuncovError
+from .errors import FuncovError, SingularSystemError
 from .splines import SplineWorkspace, eval_basis_matrix
 
 RHO_GRID_SIZE = 20
@@ -232,9 +231,12 @@ def _fit_block(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid) -> BlockF
     of ``(X'X + sum_j l_j P_j) beta = X'C`` at the selected levels ``l``
     gives the block's :class:`BlockFit`: a cross block's ``theta`` is
     ``beta`` reshaped, an auto block's is ``sym(eta)`` with the raw noise
-    variance ``sigma`` as both ``sigma2`` and ``sigma2_raw``. A grid on
-    which no point scores finite raises :class:`FuncovError` naming the
-    block.
+    variance ``sigma`` as both ``sigma2`` and ``sigma2_raw``. Failures
+    name the block: :class:`FuncovError` for a grid on which no point
+    scores finite, :class:`SingularSystemError` for a system that is not
+    positive definite at the selected levels and, checked before
+    selection since rounding can carry it through Cholesky, for an auto
+    block in which no subject observes the response twice.
     """
     rho_grid = default_rho_grid() if rho_grid is None else np.asarray(rho_grid, float)
     if rho_grid.size == 0 or not np.all(np.isfinite(rho_grid) & (rho_grid >= 0)):
@@ -249,6 +251,11 @@ def _fit_block(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid) -> BlockF
         penalties = [ws.P1, ws.P2]
         weights = [(float(w), float(1.0 - w)) for w in w_grid]
     name = f"auto block {block.k}" if auto else f"cross block ({block.k}, {block.kp})"
+    if auto and not (block.m > 1).any():
+        raise SingularSystemError(
+            f"{name}: no subject observes the response twice, so its "
+            "covariance diagonal and noise variance cannot be told apart"
+        )
     gram, rhs, apply = _block_statistics(block, ws)
     norm_y2 = float(np.vdot(block.C, block.C))
     try:
@@ -262,7 +269,12 @@ def _fit_block(block: AuxBlock, ws: SplineWorkspace, rho_grid, w_grid) -> BlockF
     lambdas = (sel.rho,) if auto else (sel.rho * sel.weight, sel.rho * (1.0 - sel.weight))
     # left to right, (X'X + l_1 P_1) + l_2 P_2: the order fixes the last bits
     A = sum((lam * P for lam, P in zip(lambdas, penalties)), gram)
-    beta = solve_penalized(A, rhs.sum(axis=0), penalty_is_zero=not any(lambdas), context=name)
+    try:
+        beta = cho_solve(cho_factor(A), rhs.sum(axis=0))
+    except LinAlgError:
+        raise SingularSystemError(
+            f"{name}: normal system is not positive definite at the selected penalty"
+        ) from None
     c = ws.c
     if not auto:
         return BlockFit(beta.reshape(c, c, order="F"), lambdas, None, None, sel)
@@ -287,9 +299,11 @@ def fit_auto(block: AuxBlock, ws: SplineWorkspace, rho_grid=None) -> BlockFit:
 
     The coefficient matrix is constrained to be symmetric through the
     half-vectorization parameterization, and the same-point indicator
-    column absorbs the noise variance. A negative variance estimate is
-    clipped to a small positive fraction of the response's sample
-    variance, with a warning.
+    column absorbs the noise variance, which needs at least one subject
+    that observes the response twice; with one point per curve the fit
+    raises :class:`SingularSystemError` naming the block. A negative
+    variance estimate is clipped to a small positive fraction of the
+    response's sample variance, with a warning.
     """
     if block.k != block.kp:
         raise FuncovError("fit_auto expects a diagonal block")

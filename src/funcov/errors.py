@@ -10,7 +10,14 @@ class DomainError(FuncovError):
 
 
 class SingularSystemError(FuncovError):
-    """A normal system was singular and no fallback was permitted."""
+    """A normal system could not be solved: its design does not determine it.
+
+    Raised when a response's mean smoothing is singular at every grid
+    value, when a covariance block's system is not positive definite at
+    its selected penalty, and for an auto covariance block in which no
+    subject observes the response twice. The message names the response
+    or the block.
+    """
 
 
 class DataFormatError(FuncovError):

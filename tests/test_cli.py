@@ -197,6 +197,20 @@ def test_fit_with_no_finite_selection_score_is_invalid(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
 
+def test_fit_one_point_per_curve_is_invalid(tmp_path, capsys):
+    train, _ = generate(SimDesign(n=200, m_min=1, m_max=1, seed=1, n_test=0))
+    path = tmp_path / "train.csv"
+    train.to_csv(path)
+    code, captured = run_fail(
+        capsys, ["fit", "--data", str(path), "--out", str(tmp_path / "model.json")]
+    )
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "invalid"
+    assert payload["message"].startswith("auto block 0: no subject observes the response twice")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+
 def test_fit_simulated_data_reports_full_spectrum(tmp_path, capsys):
     train, _ = generate(SimDesign(n=100, rho=0.9, snr=2.0, seed=17, n_test=0))
     path = tmp_path / "train.csv"
@@ -559,6 +573,34 @@ def test_evaluate_records_replicate_failures(tmp_path, capsys):
         ["n", "replicate", "rise", "ise_1", "ise_2", "ratio_1", "ratio_2",
          "mise", "mise_zero_cross"]
     ]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--rho", "2"), "rho must lie in [0, 1], got 2.0"),
+        (("--n", "0"), "need at least one training subject"),
+        (("--m-min", "5", "--m-max", "3"), "need 1 <= m_min <= m_max"),
+        (("--n", "12,-1"), "need at least one training subject"),
+    ],
+    ids=["rho", "n", "m-range", "second-n"],
+)
+def test_evaluate_rejects_a_bad_design_before_writing(tmp_path, capsys, flags, message):
+    # as simulate does: the design is checked once, up front, not recorded
+    # as a failure of every replicate
+    code, captured = run_fail(capsys, evaluate_args(tmp_path / "e", flags))
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload == {"error": "invalid", "message": message}
+    assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_non_integer_n_is_invalid(tmp_path, capsys):
+    code, captured = run_fail(capsys, evaluate_args(tmp_path / "e", ("--n", "50,x")))
+    assert code == 1
+    payload = json.loads(captured.err)
+    assert payload == {"error": "invalid", "message": "--n expects one or more integers"}
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])

@@ -7,11 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import funcov
 from funcov import FuncovError, SingularSystemError, build_workspace
 from funcov import covsmooth
-from funcov._linalg import solve_penalized
 from funcov.covsmooth import AuxBlock, build_aux, fit_auto, fit_cross
 from funcov.crossval import GridSelector
 from funcov.splines import eval_basis_matrix
@@ -210,14 +210,47 @@ def test_cross_unpenalized_square_interpolation():
     np.testing.assert_allclose(B @ fit.theta.ravel(order="F"), C, rtol=0, atol=1e-8)
 
 
-def test_cross_zero_penalty_singular_raises():
-    ws = build_workspace((0.0, 1.0), 1, 4)  # c = 5, 25 coefficients
+def one_subject_cross_block():
+    """Four products of one subject against 25 coefficients (c = 5)."""
+    ws = build_workspace((0.0, 1.0), 1, 4)
     data = funcov.SparseFunctionalDataset.from_long(
         ["a"] * 4, ["y1", "y1", "y2", "y2"], [0.2, 0.7, 0.3, 0.8], [1.0, 2.0, 3.0, 4.0]
     )
-    block = build_aux(data, zero_means(ws, 2), ws, 0, 1)
+    return build_aux(data, zero_means(ws, 2), ws, 0, 1), ws
+
+
+def test_cross_zero_penalty_singular_raises():
+    block, ws = one_subject_cross_block()
     with pytest.raises(SingularSystemError):
         fit_cross(block, ws, rho_grid=[0.0], w_grid=[0.5])
+
+
+def test_cross_singular_under_positive_penalty_raises():
+    # the penalty's null space holds directions that four products cannot
+    # determine, so the system stays singular at a positive penalty and
+    # no other solve stands in
+    block, ws = one_subject_cross_block()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match=re.escape("cross block (0, 1): ")):
+            fit_cross(block, ws, rho_grid=[1.0], w_grid=[1.0])
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_one_point_per_curve_auto_block_raises(seed):
+    # no subject observes the response twice: no pair of distinct
+    # observations separates the surface's diagonal from the noise
+    # variance. The fit raises, naming the block, and warns nothing,
+    # whether the system fails Cholesky (seed 0) or passes it by
+    # rounding (seed 3).
+    ws = build_workspace((0.0, 1.0), 2, 4)
+    data = residual_dataset(seed, n=40, p=1, m_range=(1, 1))
+    block = build_aux(data, zero_means(ws, 1), ws, 0, 0)
+    assert np.all(block.m == 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match=re.escape("auto block 0: ")):
+            fit_auto(block, ws)
 
 
 def test_cross_matches_dense_ridge():
@@ -282,14 +315,14 @@ def test_block_solve_adds_penalties_left_to_right():
     block = build_aux(data, means, ws, 0, 1)
     gram, rhs, _ = covsmooth._block_statistics(block, ws)
     lam1, lam2 = rho * w, rho * (1.0 - w)
-    theta = solve_penalized(gram + lam1 * ws.P1 + lam2 * ws.P2, rhs.sum(axis=0))
+    theta = cho_solve(cho_factor(gram + lam1 * ws.P1 + lam2 * ws.P2), rhs.sum(axis=0))
     fit = fit_cross(block, ws, rho_grid=[rho], w_grid=[w])
     assert fit.lambdas == (lam1, lam2)
     np.testing.assert_array_equal(fit.theta, theta.reshape(ws.c, ws.c, order="F"))
 
     block = build_aux(data, means, ws, 0, 0)
     gram, rhs, _ = covsmooth._block_statistics(block, ws)
-    beta = solve_penalized(gram + rho * covsmooth._auto_penalty(ws), rhs.sum(axis=0))
+    beta = cho_solve(cho_factor(gram + rho * covsmooth._auto_penalty(ws)), rhs.sum(axis=0))
     fit = fit_auto(block, ws, rho_grid=[rho])
     assert fit.lambdas == (rho,)
     Gc = oracles.duplication_matrix(ws.c)

@@ -1,6 +1,7 @@
-"""End-to-end fitting pipeline: the worker pool and count settings."""
+"""End-to-end fitting pipeline: the worker pool, count settings and a degenerate design."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from funcov import (
     FitSettings,
     FuncovError,
     SimDesign,
+    SingularSystemError,
     fit_covariance_model,
     generate,
 )
@@ -137,3 +139,15 @@ def test_forced_npc_up_to_the_component_count_is_kept(train):
     for npc in (1, np.int64(24)):
         res = fit_covariance_model(train, _settings(1, npc))
         assert res.npc == res.eig.npc == npc
+
+
+def test_one_point_per_curve_is_a_named_singular_system():
+    # with one observation per curve no auto block can tell its diagonal
+    # from the noise variance: the fit raises naming the first such block,
+    # without a warning, rather than return a model whose noise took the
+    # variance
+    data, _ = generate(SimDesign(n=200, m_min=1, m_max=1, seed=1, n_test=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match=r"^auto block 0: no subject observes"):
+            fit_covariance_model(data, FitSettings(domain=(0.0, 1.0)))
