@@ -289,9 +289,14 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
+    # a bad design flag fails the command before anything is written
+    designs = [
+        _sim_design(cfg, cfg.n, seed)
+        for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
+    ]
     os.makedirs(args.out_dir, exist_ok=True)
-    for r, seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)):
-        train, truth = generate(_sim_design(cfg, cfg.n, seed))
+    for r, design in enumerate(designs):
+        train, truth = generate(design)
         train.to_csv(os.path.join(args.out_dir, f"replicate_{r:03d}.csv"))
         if truth.test_data is not None:
             truth.test_data.to_csv(

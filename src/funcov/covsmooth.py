@@ -92,21 +92,25 @@ class BlockFit:
     selection: SelectionResult
 
 
-def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
+def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int, stacks=None) -> AuxBlock:
     """Assemble the auxiliary regression for response pair (k, kp).
 
     Residuals are the observations minus the fitted means. For each
     subject every (j1, j2) observation pair contributes the product
     ``r_ij1^{(k)} r_ij2^{(kp)}``, whose design row evaluates the spline
     surface at ``(t_ij1^{(k)}, t_ij2^{(kp)})``. Subjects missing either
-    response are dropped. The basis and the mean are evaluated once per
-    response over its pooled times.
+    response are dropped. Each response is laid out by
+    :func:`subject_stacks`; a fit passes every response's layout as
+    ``stacks`` (indexed by response), so that it is made once for all the
+    blocks the response enters.
     """
     if not 0 <= k <= kp < data.n_responses:
         raise FuncovError(f"bad response pair ({k}, {kp})")
     auto = k == kp
-    P, r, m, v = _subject_stacks(data, means, ws, k)
-    Pp, rp, mp, _ = (P, r, m, v) if auto else _subject_stacks(data, means, ws, kp)
+    if stacks is None:
+        stacks = {q: subject_stacks(data, means, ws, q) for q in {k, kp}}
+    P, r, m, v = stacks[k]
+    Pp, rp, mp, _ = stacks[kp]
     keep = (m > 0) & (mp > 0)
     if not keep.any():
         raise FuncovError(f"no subject observes both responses {k} and {kp}")
@@ -118,16 +122,23 @@ def build_aux(data, means, ws: SplineWorkspace, k: int, kp: int) -> AuxBlock:
     return AuxBlock(k, kp, r[:, :, None] * rp[:, None, :], P, Pp, m, mp, y_var)
 
 
-def _subject_stacks(data, means, ws: SplineWorkspace, k: int):
+def subject_stacks(data, means, ws: SplineWorkspace, k: int):
     """Basis rows (n, m, c) and residuals (n, m) of response k, zero-padded
-    past each subject's count, with the counts and the raw values."""
+    past each subject's count, with the counts and the raw values.
+
+    The basis is evaluated once over the pooled times. A mean on the same
+    workspace is read off those rows, ``B @ alpha`` as ``MeanFit`` forms
+    it; any other mean is evaluated on its own workspace.
+    """
     t, v, counts = data.pooled(k)
     subj = np.repeat(np.arange(counts.size), counts)
     j = np.arange(t.size) - (np.cumsum(counts) - counts)[subj]
+    B = eval_basis_matrix(ws, t)
     P = np.zeros((counts.size, counts.max(initial=0), ws.c))
-    P[subj, j] = eval_basis_matrix(ws, t)
+    P[subj, j] = B
+    mean = means[k]
     r = np.zeros(P.shape[:2])
-    r[subj, j] = v - means[k](t)
+    r[subj, j] = v - (B @ mean.alpha if mean.ws is ws else mean(t))
     return P, r, counts, v
 
 

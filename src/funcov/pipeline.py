@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covsmooth import build_aux, fit_auto, fit_cross
+from .covsmooth import build_aux, fit_auto, fit_cross, subject_stacks
 from .errors import FuncovError
 from .fpca import (
     CovarianceModel,
@@ -149,9 +149,10 @@ def fit_covariance_model(data, settings: FitSettings | None = None) -> FitResult
     )
 
     pairs = [(k, kp) for k in range(p) for kp in range(k, p)]
+    stacks = [subject_stacks(data, means, ws_cov, k) for k in range(p)]
 
     def _fit_pair(k, kp):
-        block = build_aux(data, means, ws_cov, k, kp)
+        block = build_aux(data, means, ws_cov, k, kp, stacks)
         if k == kp:
             return fit_auto(block, ws_cov, settings.rho_grid)
         return fit_cross(block, ws_cov, settings.rho_grid, settings.w_grid)

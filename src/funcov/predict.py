@@ -18,14 +18,14 @@ of the subject's own times: the two modes differ only in ``B_new`` and
 prior variance), chosen once per call for a shared grid and per subject
 otherwise.
 
-Once per call: each distinct workspace's basis at the observation times
-and at the grid (a mean on the model's own workspace reuses the model's
-basis rather than evaluating it again) and the means at the grid. Per
-subject only the products that involve its own observations are formed,
-with one Cholesky factorization of its ``V`` through LAPACK's ``dpotrf``
-and solves through ``dpotrs``, the routines ``scipy.linalg.cho_factor``
-and ``cho_solve`` wrap, called directly. ``M_new`` is built only when a
-band is asked for.
+Once per call: each distinct workspace's basis, in one pass over the
+observation times followed by the grid (a mean on the model's own
+workspace reuses the model's basis rather than evaluating it again), and
+the means at the grid. Per subject only the products that involve its
+own observations are formed, with one Cholesky factorization of its
+``V`` through LAPACK's ``dpotrf`` and solves through ``dpotrs``, the
+routines ``scipy.linalg.cho_factor`` and ``cho_solve`` wrap, called
+directly. ``M_new`` is built only when a band is asked for.
 
 A pointwise band at ``level`` is ``xhat +/- z sqrt(var)`` with ``z`` the
 standard normal's ``0.5 + level / 2`` quantile from
@@ -209,18 +209,26 @@ def predict_batch(
     t_obs, resp = t_pool[order], resp[order]
     y_obs = np.concatenate([v for _, v, _ in pooled])[order]
     noise = model.sigma2[resp]
-    # Each mean is evaluated as MeanFit does, basis times coefficients, but
-    # the product is taken per subject: a matrix-vector product's rounding
-    # depends on the row's position in the array.
-    B_obs, B_mean = _bases(model, t_obs)
-    Bo = np.zeros((t_obs.size, pc))  # block-diagonal observed design
-    Bo[np.arange(t_obs.size)[:, None], (resp * c)[:, None] + np.arange(c)] = B_obs
+    # One evaluation covers the observation times, then the grid; each
+    # basis value depends on its own time alone. Each mean is evaluated as
+    # MeanFit does, basis times coefficients, but the product is taken per
+    # subject: a matrix-vector product's rounding depends on the row's
+    # position in the array.
+    N = t_obs.size
+    B_all, B_mean_all = _bases(model, t_obs if times is None else np.concatenate([t_obs, times]))
+    B_obs, B_mean = B_all[:N], [B[:N] for B in B_mean_all]
+    Bo = np.zeros((N, p, c))  # block-diagonal observed design
+    Bo[np.arange(N), resp] = B_obs
+    Bo = Bo.reshape(N, pc)
+    # each row's place in its subject's (p, m_i) block of means
+    own = owner[order]
+    mine = resp * counts[own] + np.arange(N) - (ends - counts)[own]
 
     var = cov = None
     if times is not None:
         if not times.size:
             raise FuncovError("prediction grid is empty")
-        B_new, B_new_mean = _bases(model, times)
+        B_new, B_new_mean = B_all[N:], [B[N:] for B in B_mean_all]
         mu_new = np.vstack([B @ mean.alpha for B, mean in zip(B_new_mean, model.means)])
         xhat = np.empty((n, p, times.size))
         if bands:
@@ -230,7 +238,7 @@ def predict_batch(
             prior = np.hstack([M_new[:, k * c : (k + 1) * c] @ B_new.T for k in range(p)])
             cov = np.empty((n, prior.shape[0], prior.shape[0]))
     else:
-        xhat = np.empty((p, t_obs.size))
+        xhat = np.empty((p, N))
     if bands:
         var = np.empty_like(xhat)
     scores = np.zeros((n, L))
@@ -251,19 +259,20 @@ def predict_batch(
             if bands:
                 M_new = _new_design(B_new, Theta, p)
                 prior_diag = _prior_diag(M_new, B_new, p)
-        z = np.zeros(pc)
         if m_i:
             V = Bo_i @ Theta @ Bo_i.T
-            V.flat[:: m_i + 1] += noise[rows]
+            V.reshape(-1)[:: m_i + 1] += noise[rows]
             cf, info = dpotrf(V, clean=0)
             if info:
                 jitter[i] = V_JITTER * float(np.trace(V)) / m_i
                 cf, info = dpotrf(V + jitter[i] * np.eye(m_i), clean=0)
                 if info:
                     raise FuncovError("observation covariance is singular even after jitter")
-            resid = y_obs[rows] - mu_i[resp[rows], np.arange(m_i)]
+            resid = y_obs[rows] - mu_i.take(mine[rows])
             z = Bo_i.T @ dpotrs(cf, resid)[0]
             scores[i] = to_scores @ z
+        else:
+            z = np.zeros(pc)
         xhat[at] = mu_new + (B_new @ (Theta @ z).reshape(p, c).T).T
         if bands:
             # without observations cross and G are empty and the prior stays

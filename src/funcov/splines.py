@@ -9,23 +9,23 @@ Times are mapped affinely onto [0, 1] before basis evaluation; the Gram
 matrix is expressed in original time units so inner products, eigenvalues
 and scores keep the units of the data.
 
-Each workspace builds one basis evaluator, a :class:`BSpline` whose
-coefficients are the identity, so column j of its value is basis function
-j. The design matrices of all stages go through it, and the Gram
-quadrature uses an identical one. Its values are bit-identical to
-``BSpline.design_matrix(u, knots, order - 1).toarray()``: each entry is one
-de Boor value times 1.0 plus exact zeros, without the sparse matrix the
-design-matrix route builds and densifies on every call.
+Each workspace holds one basis evaluator, a numpy Cox-de Boor recursion
+built once from the unit knots. The design matrices of all stages and the
+Gram quadrature go through it. It follows the operation order of the
+recursion scipy's ``BSpline`` evaluates, so its values equal
+``BSpline.design_matrix(u, knots, order - 1).toarray()`` bit for bit; a
+test pins that equality, and funcov itself does not import
+``scipy.interpolate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BSpline
 
 from ._linalg import sym_sqrt_pair
 from .errors import DomainError, FuncovError
@@ -73,8 +73,8 @@ class SplineWorkspace:
     G_half, G_inv_half : ndarray
         Symmetric square root of G and its inverse.
 
-    The basis evaluator on [0, 1] is built once, from the unit knots, when
-    the workspace is constructed; it is not a constructor argument.
+    The basis evaluator on [0, 1] is built once, by :func:`build_workspace`,
+    from the unit knots.
     """
 
     domain: tuple
@@ -89,25 +89,59 @@ class SplineWorkspace:
     G_half: np.ndarray
     G_inv_half: np.ndarray
     _unit_knots: np.ndarray = field(repr=False)
-    _basis: BSpline = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_basis", _unit_basis(self._unit_knots, self.order, self.c))
+    _basis: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
 
-def _unit_basis(unit_knots: np.ndarray, order: int, c: int) -> BSpline:
-    """All c basis functions on [0, 1] as one vector-valued spline."""
-    return BSpline(unit_knots, np.eye(c), order - 1, extrapolate=False)
+def _unit_basis(unit_knots: np.ndarray, order: int, c: int):
+    """All c basis functions on [0, 1]: a function from unit times ``u``,
+    shape (n,), to the (n, c) matrix of their values.
+
+    Point ``u`` lies in the last interval ``ell`` in ``[k, c - 1]`` with
+    ``knots[ell] <= u``, so the right end of [0, 1] belongs to the last
+    interval. Its k + 1 nonzero values come from the Cox-de Boor recursion
+    in the operation order of scipy's ``_deBoor_D``: for level j = 1..k
+    and n = 1..j, ``w = h[n-1] / (xb - xa)`` with ``xb = knots[ell + n]``
+    and ``xa = knots[ell + n - j]``, then ``h[n-1] += w (xb - u)`` and
+    ``h[n] = w (u - xa)``. Each level is vectorized over the points, which
+    run along the last axis. Every ``xb - xa`` is positive, as
+    ``knots[ell] < knots[ell + 1]``, and is taken once per interval.
+    """
+    k = order - 1
+    ell = np.arange(k, c)
+    # rows: the 2k knots ell - k + 1 .. ell + k around each interval, then
+    # every level's differences xb - xa; columns: the intervals
+    window = unit_knots[ell + np.arange(1 - k, k + 1)[:, None]]
+    pairs = [(j, n) for j in range(1, order) for n in range(1, j + 1)]
+    table = np.vstack([window, *(window[k - 1 + n] - window[k - 1 + n - j] for j, n in pairs)])
+    interior = unit_knots[order:c]
+    rows = np.arange(order)[:, None]
+
+    def basis(u):
+        i = np.searchsorted(interior, u, side="right")  # ell - k
+        T = table.take(i, axis=1)
+        knot_u, u_knot = T[: 2 * k] - u, u - T[: 2 * k]
+        h = np.ones((1, u.size))
+        s = 2 * k
+        for j in range(1, order):
+            w = h / T[s : s + j]
+            h = np.zeros((j + 1, u.size))
+            h[:j] = w * knot_u[k : k + j]  # xb - u
+            h[1:] += w * u_knot[k - j : k]  # u - xa
+            s += j
+        B = np.zeros((u.size, c))
+        B.reshape(-1)[i + np.arange(0, u.size * c, c) + rows] = h
+        return B
+
+    return basis
 
 
-def _unit_gram(basis: BSpline) -> np.ndarray:
+def _unit_gram(basis, unit_knots: np.ndarray, order: int, c: int) -> np.ndarray:
     # Gauss-Legendre per knot span, exact for products of two splines:
     # the integrand has degree 2*(order-1) on each span.
-    n_nodes = math.ceil((2 * basis.k + 1) / 2) + 1
+    n_nodes = math.ceil((2 * (order - 1) + 1) / 2) + 1
     nodes, weights = leggauss(n_nodes)
-    c = basis.c.shape[1]
     G = np.zeros((c, c))
-    breaks = np.unique(basis.t)
+    breaks = np.unique(unit_knots)
     for left, right in zip(breaks[:-1], breaks[1:]):
         half = 0.5 * (right - left)
         mid = 0.5 * (right + left)
@@ -150,7 +184,8 @@ def build_workspace(domain, n_interior: int, order: int = 4) -> SplineWorkspace:
     unit_knots = np.concatenate([np.zeros(order), interior, np.ones(order)])
     D = diff_matrix(c)
     DtD = D.T @ D
-    G = (b - a) * _unit_gram(_unit_basis(unit_knots, order, c))
+    basis = _unit_basis(unit_knots, order, c)
+    G = (b - a) * _unit_gram(basis, unit_knots, order, c)
     G_half, G_inv_half = sym_sqrt_pair(G)
     return SplineWorkspace(
         domain=(a, b),
@@ -165,6 +200,7 @@ def build_workspace(domain, n_interior: int, order: int = 4) -> SplineWorkspace:
         G_half=G_half,
         G_inv_half=G_inv_half,
         _unit_knots=unit_knots,
+        _basis=basis,
     )
 
 
@@ -173,19 +209,18 @@ def eval_basis_matrix(ws: SplineWorkspace, times) -> np.ndarray:
 
     Returns the design matrix of shape (len(times), c). Times outside the
     workspace domain raise :class:`DomainError`. The values come from the
-    workspace's cached evaluator and are bit-identical to
-    ``BSpline.design_matrix(u, ws._unit_knots, ws.order - 1).toarray()``
-    at the unit times ``u``.
+    workspace's evaluator at the unit times ``u`` (see :func:`_unit_basis`).
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if t.size == 0:
         return np.zeros((0, ws.c))
-    if not np.all(np.isfinite(t)):
-        raise DomainError("non-finite time values")
     a, b = ws.domain
-    if t.min() < a or t.max() > b:
-        bad = float(t[(t < a) | (t > b)][0])
+    inside = (t >= a) & (t <= b)  # False at NaN
+    if not inside.all():
+        if not np.isfinite(t).all():
+            raise DomainError("non-finite time values")
+        bad = float(t[~inside][0])
         raise DomainError(f"time {bad!r} outside the fitted domain [{a}, {b}]")
     u = (t - a) / (b - a)
-    return ws._basis(u)
+    return ws._basis(u.ravel()).reshape(*t.shape, ws.c)
 

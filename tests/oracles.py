@@ -71,8 +71,8 @@ def gram_gl64(domain, unit_knots, order, c):
 
 def design_matrix(unit_knots, order, u):
     """Basis values at unit times through scipy's sparse design matrix,
-    densified: the evaluator the package used before it cached one per
-    workspace, and which that evaluator must reproduce bit for bit."""
+    densified, which the package's numpy evaluator must reproduce bit for
+    bit. This module is the only importer of ``scipy.interpolate``."""
     return BSpline.design_matrix(np.asarray(u, dtype=float), unit_knots, order - 1).toarray()
 
 

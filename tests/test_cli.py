@@ -595,6 +595,22 @@ def test_evaluate_rejects_a_bad_design_before_writing(tmp_path, capsys, flags, m
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--rho", "2"), "rho must lie in [0, 1], got 2.0"),
+        (("--n", "0"), "need at least one training subject"),
+    ],
+    ids=["rho", "n"],
+)
+def test_simulate_rejects_a_bad_design_before_writing(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "d"
+    code, captured = run_fail(capsys, ["simulate", "--out-dir", str(out_dir), "--n", "5", *flags])
+    assert code == 1
+    assert json.loads(captured.err) == {"error": "invalid", "message": message}
+    assert not out_dir.exists()
+
+
 def test_evaluate_non_integer_n_is_invalid(tmp_path, capsys):
     code, captured = run_fail(capsys, evaluate_args(tmp_path / "e", ("--n", "50,x")))
     assert code == 1

@@ -188,6 +188,47 @@ def test_zero_residuals_give_zero_fit():
     assert fit_a.sigma2 == 0.0 and fit_a.sigma2_raw == 0.0
 
 
+def test_shared_stacks_equal_per_block_layouts_bit_for_bit():
+    # a fit lays each response out once and reads the mean off the basis
+    # rows; a mean on an equal but distinct workspace is evaluated apart
+    # (MeanFit.__call__), and every block must come out the same
+    rng = np.random.default_rng(21)
+    data = make_dataset(rng, n=12, p=2, m_range=(1, 6))
+    ws = build_workspace((0.0, 1.0), 3, 4)
+    twin_ws = build_workspace((0.0, 1.0), 3, 4)
+    alphas = [rng.standard_normal(ws.c) for _ in range(2)]
+    means = [spline_mean(ws, a) for a in alphas]
+    twins = [spline_mean(twin_ws, a) for a in alphas]
+    stacks = [covsmooth.subject_stacks(data, means, ws, k) for k in range(2)]
+    for k, kp in ((0, 0), (0, 1), (1, 1)):
+        shared = build_aux(data, means, ws, k, kp, stacks)
+        apart = build_aux(data, twins, ws, k, kp)
+        for name in ("C", "P", "Pp", "m", "mp"):
+            np.testing.assert_array_equal(getattr(shared, name), getattr(apart, name))
+        assert shared.y_var == apart.y_var
+
+
+def test_fit_and_prediction_evaluate_the_basis_once_per_need(monkeypatch):
+    # a p = 3 fit: one evaluation per mean and one per response's stacks;
+    # a prediction on a grid: one pass over observed times and grid
+    calls = []
+    for module in (covsmooth, funcov.mean, funcov.predict):
+        def counted(ws, times, _f=module.eval_basis_matrix):
+            calls.append(np.size(times))
+            return _f(ws, times)
+
+        monkeypatch.setattr(module, "eval_basis_matrix", counted)
+    train, truth = funcov.generate(funcov.SimDesign(n=30, rho=0.5, seed=3, n_test=4))
+    res = funcov.fit_covariance_model(
+        train, funcov.FitSettings(n_interior_mean=4, n_interior_cov=4, domain=(0.0, 1.0))
+    )
+    assert len(calls) == 6
+    calls.clear()
+    funcov.predict_batch(res.model, res.eig, truth.test_data, np.linspace(0, 1, 11))
+    n_obs = sum(truth.test_data.pooled(k)[0].size for k in range(3))
+    assert calls == [n_obs + 11]
+
+
 def test_cross_unpenalized_square_interpolation():
     # one subject, m = c distinct times per response, zero penalty: the
     # square design is inverted and the fit interpolates every product

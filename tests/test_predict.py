@@ -122,9 +122,10 @@ def test_normal_quantile_equals_norm_ppf_bit_for_bit():
             assert _normal_quantile(level) == float(norm.ppf(0.5 + level / 2)), level
 
 
-def test_banded_prediction_leaves_scipy_stats_unloaded():
-    # a fresh interpreter: import funcov, fit, predict with a band
-    script = """
+def _loaded_after_banded_prediction(packages):
+    """The modules of ``packages`` loaded in a fresh interpreter that
+    imports funcov, fits and predicts with a band."""
+    script = f"""
 import sys
 import numpy as np
 import funcov
@@ -137,7 +138,7 @@ out = funcov.predict_subject(
     [np.array([0.5]), np.array([-0.2]), np.array([0.1, 0.9])], np.linspace(0, 1, 5), level=0.8,
 )
 assert np.all(out.upper > out.lower)
-print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]))
+print(sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in {sorted(packages)!r}))
 """
     src = str(Path(funcov.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
@@ -146,7 +147,17 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]))
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_banded_prediction_leaves_scipy_stats_unloaded():
+    assert _loaded_after_banded_prediction(["scipy.stats"]) == "[]"
+
+
+def test_fit_and_prediction_leave_scipy_interpolate_and_optimize_unloaded():
+    # the basis is evaluated in numpy; scipy.interpolate would also load
+    # scipy.optimize
+    assert _loaded_after_banded_prediction(["scipy.interpolate", "scipy.optimize"]) == "[]"
 
 
 def test_conditioning_never_inflates_variance():

@@ -81,6 +81,8 @@ def test_basis_and_gram_equal_the_design_matrix_path(order, domain):
             knots,
             np.nextafter(knots[1:], -np.inf),
             np.nextafter(knots[:-1], np.inf),
+            np.linspace(a, b, 101),
+            np.linspace(a, b, 250),
             a + (b - a) * rng.random(20_000),
         ])
         oracle = oracles.design_matrix(ws._unit_knots, order, (ts - a) / (b - a))
