@@ -85,6 +85,8 @@ class RunConfig(FitSettings):
             raise FuncovError("workers must be >= 1")
         if self.replicates < 1:
             raise FuncovError("replicates must be >= 1")
+        if self.n_values is not None and len(set(self.n_values)) < len(self.n_values):
+            raise FuncovError(f"n_values must not repeat a training size, got {self.n_values}")
         if self.domain is not None:
             a, b = self.domain
             if not b > a:

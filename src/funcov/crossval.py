@@ -138,9 +138,8 @@ class GridSelector:
     vector to the (n, q) stack of ``X_i'X_i beta`` (subjects in the order
     of ``rhs``) and the penalty matrices. Construction whitens ``X'X``;
     each call to :meth:`for_weights` eigendecomposes one penalty mixture,
-    and the returned stage prices any set of rho values. Of the inputs it
-    keeps ``apply`` and a copy of ``rhs``, which every stage scores
-    against.
+    and the returned stage prices one rho per call. Of the inputs it keeps
+    ``apply``, ``norm_y2`` and a copy of ``rhs``, which every stage reads.
     """
 
     def __init__(self, gram, rhs, norm_y2, apply, penalties):
@@ -150,9 +149,9 @@ class GridSelector:
         if tr > 0.0:
             Gn = Gn + (GRAM_RIDGE * tr / q) * np.eye(q)
         _, self._E = sym_sqrt_pair(Gn)
-        self._rhs = np.array(rhs, dtype=float)
+        self.rhs = np.array(rhs, dtype=float)
         # whitened right-hand side E X'y
-        self._f = self._E @ self._rhs.sum(axis=0)
+        self._f = self._E @ self.rhs.sum(axis=0)
         self._Pw = [self._E @ np.asarray(P, dtype=float) @ self._E for P in penalties]
         self.norm_y2 = float(norm_y2)
         self.apply = apply
@@ -161,25 +160,23 @@ class GridSelector:
     def for_weights(self, weights):
         """Diagonalize one penalty mixture; returns a per-weight stage."""
         s, U = np.linalg.eigh(sum(w * P for w, P in zip(weights, self._Pw)))
-        return _WeightStage(s, self._E @ U, U.T @ self._f, self._rhs, self.apply, self.norm_y2)
+        return _WeightStage(self, s, self._E @ U, U.T @ self._f)
 
 
 @dataclass
 class _WeightStage:
     """One diagonalized penalty mixture ``E P E = U diag(s) U'``.
 
-    ``W = E U`` maps rotated coefficients back to the original ones,
-    ``f_t = W' X'y``, and ``rhs`` is the selector's stack of ``X_i'y_i``.
-    Its arithmetic ignores overflow and invalid values: a non-finite
-    score is reported once, by :func:`select_grid`.
+    ``W = E U`` maps rotated coefficients back to the original ones and
+    ``f_t = W' X'y``; the data statistics are the ``selector``'s. Its
+    arithmetic ignores overflow and invalid values: a non-finite score is
+    reported once, by :func:`select_grid`.
     """
 
+    selector: GridSelector
     s: np.ndarray
     W: np.ndarray
     f_t: np.ndarray
-    rhs: np.ndarray
-    apply: object
-    norm_y2: float
 
     def _rss(self, rho):
         """``d``, ``v`` and the residual norm ``||y - S y||^2`` at one rho."""
@@ -187,7 +184,7 @@ class _WeightStage:
         # correct limit, so the overflow is deliberate.
         d = 1.0 / (1.0 + rho * self.s)
         v = d * self.f_t
-        return d, v, self.norm_y2 + v @ (v - 2.0 * self.f_t)
+        return d, v, self.selector.norm_y2 + v @ (v - 2.0 * self.f_t)
 
     @np.errstate(over="ignore", invalid="ignore")
     def lower_bound(self, rho):
@@ -196,34 +193,28 @@ class _WeightStage:
 
         The score is ``rss`` plus a term that is nonnegative whenever
         ``d >= 0``, so a finite ``rss`` with ``d >= 0`` is certified; the
-        comparison holds bit for bit, since :meth:`score_all` adds the
-        term to this same ``rss``.
+        comparison holds bit for bit, since :meth:`score` adds the term to
+        this same ``rss``.
         """
         d, _, rss = self._rss(rho)
         return rss, bool(np.isfinite(rss) and (d >= 0.0).all())
 
     @np.errstate(over="ignore", invalid="ignore")
-    def score_all(self, rhos):
-        """Criterion values at every penalty level in ``rhos``.
+    def score(self, rho):
+        """Criterion value at penalty level ``rho``.
 
         With ``d = 1 / (1 + rho s)``, ``v = d f_t`` and ``beta = W v``, the
         criterion is ``rss + 2 <E'E, W D W'>``, where
         ``rss = ||y||^2 + v'(v - 2 f_t) = ||y - S y||^2`` and the (n, q)
         stack ``E = apply(beta) - rhs`` holds the ``X_i'(X_i beta - y_i)``.
-        Each rho costs one application of ``apply`` and one (n, q) by
-        (q, q) product ``E W``, whose column sums of squares give the
-        diagonal of ``W'E'E W``. They are nonnegative as computed, so with
-        ``d >= 0`` the score is never below ``rss``. Each rho is priced
-        by itself, with the same operations whatever other rho share the
-        call.
+        It costs one application of ``apply`` and one (n, q) by (q, q)
+        product ``E W``, whose column sums of squares give the diagonal of
+        ``W'E'E W``. They are nonnegative as computed, so with ``d >= 0``
+        the score is never below ``rss``.
         """
-        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-        out = np.empty(rhos.size)
-        for j, rho in enumerate(rhos):
-            d, v, rss = self._rss(rho)
-            EW = (self.apply(self.W @ v) - self.rhs) @ self.W
-            out[j] = rss + 2.0 * (d @ np.einsum("ia,ia->a", EW, EW))
-        return out
+        d, v, rss = self._rss(rho)
+        EW = (self.selector.apply(self.W @ v) - self.selector.rhs) @ self.W
+        return float(rss + 2.0 * (d @ np.einsum("ia,ia->a", EW, EW)))
 
 
 def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
@@ -245,7 +236,7 @@ def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
         Ties are broken toward larger rho, then larger first weight.
 
     Each grid point's score is its residual norm ``rss`` plus a
-    nonnegative term (:meth:`_WeightStage.score_all`), so ``rss`` is a
+    nonnegative term (:meth:`_WeightStage.score`), so ``rss`` is a
     lower bound at O(q) cost. Every stage is built first and ``rss``
     taken at every point; the points are then scored in ascending
     ``rss``. From the first point whose certified bound exceeds the best
@@ -275,7 +266,7 @@ def select_grid(gram, rhs, norm_y2, apply, penalties, rho_grid, weight_grid):
         if certified and rss > best_score:
             continue
         rho = rhos[j]
-        val = float(stage.score_all([rho])[0])
+        val = stage.score(rho)
         surface.append((rho, weights, val))
         if not np.isfinite(val):
             skipped.append(j)

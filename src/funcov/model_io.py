@@ -101,8 +101,9 @@ def load_model(path):
 
     A missing field, a field of the wrong type, a repeated response label,
     an array whose shape disagrees with the response count or a basis
-    size, or an array with a non-finite value raises
-    :class:`DataFormatError`.
+    size, an array with a non-finite value, or a value no fit writes
+    (``npc`` outside [0, p c], ``pve`` outside (0, 1], ``lambdas`` without
+    each pair 0 <= k <= kp < p exactly once) raises :class:`DataFormatError`.
 
     Returns
     -------
@@ -143,6 +144,9 @@ def _from_doc(doc):
     alphas = _array(doc, "mean_alphas", (p, ws_mean.c))
     taus = _field(doc, "mean_taus", lambda x: _numbers(x) and len(x) == p, f"{p} numbers")
     lambdas = _field(doc, "lambdas", _list_of(_is_lambda_entry), "a list of [k, kp, [numbers]]")
+    pairs = sorted((k, kp) for k, kp, _ in lambdas)
+    if pairs != [(k, kp) for k in range(p) for kp in range(k, p)]:
+        raise DataFormatError(f"lambdas must hold each pair 0 <= k <= kp < {p} exactly once")
     model = CovarianceModel(
         blocks=_array(doc, "blocks", (p, p, c, c)),
         sigma2=_array(doc, "sigma2", (p,)),
@@ -158,8 +162,10 @@ def _from_doc(doc):
     eig = EigenSystem(
         d=d,
         U=_array(eigen, "U", (p * c, p * c)),
-        npc=_field(eigen, "npc", _integer, "an integer"),
-        pve=float(_field(eigen, "pve", _real, "a number")),
+        npc=_field(eigen, "npc", lambda x: _integer(x) and 0 <= x <= p * c,
+                   f"an integer in [0, {p * c}]"),
+        pve=float(_field(eigen, "pve", lambda x: _real(x) and 0.0 < x <= 1.0,
+                         "a number in (0, 1]")),
         pve_curve=pve_curve(d),
         ws=ws_cov,
         p=p,

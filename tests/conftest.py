@@ -73,6 +73,11 @@ def stack_products(block, flat):
     return out.transpose(0, 2, 1)
 
 
+def block_lambdas(p):
+    """Smoothing levels for every block pair, as a fit records them."""
+    return {(k, kp): (1.0,) if k == kp else (0.5, 0.5) for k in range(p) for kp in range(k, p)}
+
+
 def make_psd_model(seed=0, p=2, n_interior=1, order=4, domain=(0.0, 1.0), scale=1.0, sigma2=0.3):
     """Random covariance model whose whitened stack is PSD by construction."""
     rng = np.random.default_rng(seed)
@@ -95,7 +100,7 @@ def make_psd_model(seed=0, p=2, n_interior=1, order=4, domain=(0.0, 1.0), scale=
         means=zero_means(ws, p),
         ws=ws,
         refined=True,
-        lambdas={},
+        lambdas=block_lambdas(p),
         response_labels=[f"y{k + 1}" for k in range(p)],
     )
 
@@ -111,7 +116,7 @@ def zero_model(p=2, n_interior=1, order=4, domain=(0.0, 1.0), sigma2=0.5):
         means=zero_means(ws, p),
         ws=ws,
         refined=True,
-        lambdas={},
+        lambdas=block_lambdas(p),
         response_labels=[f"y{k + 1}" for k in range(p)],
     )
 

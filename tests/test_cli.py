@@ -390,6 +390,10 @@ def _array_field(key, shape, where=None):
         pytest.param(lambda doc: doc.update(domain=[1.0, 0.0]), id="domain-reversed"),
         pytest.param(lambda doc: doc.update(order="4"), id="order-string"),
         pytest.param(lambda doc: doc["eigen"].update(npc=1.5), id="npc-float"),
+        pytest.param(lambda doc: doc["eigen"].update(npc=-1), id="npc-negative"),
+        pytest.param(lambda doc: doc["eigen"].update(npc=1000), id="npc-above-pc"),
+        pytest.param(lambda doc: doc["eigen"].update(pve=7.0), id="pve-above-1"),
+        pytest.param(lambda doc: doc.update(lambdas=[[0, 5, [1.0]]]), id="lambdas-out-of-range"),
         pytest.param(lambda doc: doc.update(n_interior_cov=1), id="cov-basis-vs-blocks"),
         pytest.param(lambda doc: doc.update(n_interior_mean=1), id="mean-basis-vs-alphas"),
         pytest.param(lambda doc: doc.update(response_labels=["y1"]), id="labels-vs-blocks"),
@@ -582,8 +586,9 @@ def test_evaluate_records_replicate_failures(tmp_path, capsys):
         (("--n", "0"), "need at least one training subject"),
         (("--m-min", "5", "--m-max", "3"), "need 1 <= m_min <= m_max"),
         (("--n", "12,-1"), "need at least one training subject"),
+        (("--n", "12,12"), "n_values must not repeat a training size, got [12, 12]"),
     ],
-    ids=["rho", "n", "m-range", "second-n"],
+    ids=["rho", "n", "m-range", "second-n", "repeated-n"],
 )
 def test_evaluate_rejects_a_bad_design_before_writing(tmp_path, capsys, flags, message):
     # as simulate does: the design is checked once, up front, not recorded

@@ -31,7 +31,7 @@ def dense_selector(X, y, slices, penalties):
 
 
 def exhaustive_select(stats, penalties, rho_grid, weight_grid):
-    """Every grid point scored by ``score_all``, with the residual-norm
+    """Every grid point scored by ``stage.score``, with the residual-norm
     bound beside each; the pick by select_grid's tie-break.
 
     Returns ``((rho, weight, score), points)`` with ``points`` mapping
@@ -41,8 +41,8 @@ def exhaustive_select(stats, penalties, rho_grid, weight_grid):
     points, best = {}, None
     for weights in weight_grid:
         stage = sel.for_weights(weights)
-        scores = stage.score_all(rho_grid)
-        for rho, val in zip(map(float, rho_grid), map(float, scores)):
+        for rho in map(float, rho_grid):
+            val = stage.score(rho)
             points[rho, tuple(weights)] = (val, *stage.lower_bound(rho))
             key = (val, -rho, tuple(-w for w in weights))
             if np.isfinite(val) and (best is None or key <= best[0]):
@@ -101,19 +101,20 @@ def test_fast_criterion_matches_direct_formula():
 def test_stage_scores_without_raw_data():
     # after construction the selector keeps the X_i'X_i action and its own
     # copy of the right-hand sides: the raw data and the gram and
-    # right-hand sides it was given may change
+    # right-hand sides it was given may change, both for a stage built
+    # before the change and for one built after it
     X, y, slices = random_instance(7, q=8)
     P = np.eye(8)
+    rhos = [0.1, 1.0, 50.0]
     gram, rhs, norm_y2, apply = oracles.row_statistics(X, y, slices)
     sel = GridSelector(gram, rhs, norm_y2, apply, [P])
     stage = sel.for_weights((1.0,))
-    before = list(stage.score_all([0.1, 1.0, 50.0]))
+    before = [stage.score(rho) for rho in rhos]
     for a in (X, y, gram, rhs):
         a[:] = np.nan
     stage2 = sel.for_weights((1.0,))
-    after = list(stage2.score_all([0.1, 1.0, 50.0]))
-    assert before == after
-    assert stage.score_all([1.0])[0] == before[1]
+    assert [stage2.score(rho) for rho in rhos] == before
+    assert [stage.score(rho) for rho in rhos] == before
 
 
 def test_subject_permutation_invariance():
@@ -138,8 +139,10 @@ def test_subject_permutation_invariance():
     assert res_a.rho == res_b.rho
     assert res_a.score == pytest.approx(res_b.score, rel=1e-8)
     # every grid point, not only those select_grid scores
-    scores_a = dense_selector(X, y, slices, P).for_weights((1.0,)).score_all(rho_grid)
-    scores_b = dense_selector(Xp, yp, slices_p, P).for_weights((1.0,)).score_all(rho_grid)
+    stage_a = dense_selector(X, y, slices, P).for_weights((1.0,))
+    stage_b = dense_selector(Xp, yp, slices_p, P).for_weights((1.0,))
+    scores_a = [stage_a.score(rho) for rho in rho_grid]
+    scores_b = [stage_b.score(rho) for rho in rho_grid]
     np.testing.assert_allclose(scores_b, scores_a, rtol=1e-8)
 
 
@@ -150,8 +153,8 @@ def test_all_zero_design_collapses_to_norm_y2():
     X = np.zeros((12, 5))
     slices = [(0, 4), (4, 8), (8, 12)]
     stage = dense_selector(X, y, slices, [np.eye(5)]).for_weights((1.0,))
-    for val in stage.score_all([0.0, 1.0, 1e6]):
-        assert val == pytest.approx(float(y @ y), rel=1e-12)
+    for rho in (0.0, 1.0, 1e6):
+        assert stage.score(rho) == pytest.approx(float(y @ y), rel=1e-12)
 
 
 def test_zeroed_subject_contributes_no_correction():
@@ -254,7 +257,7 @@ def test_size_groups_skip_empty_subjects_and_keep_order():
     assert size_groups([0, 0]) == []
 
 
-def test_score_all_matches_direct_formula_and_single_points():
+def test_score_matches_direct_formula_and_subject_order():
     # unequal subject sizes (1, 4 and 9 rows) with empty slices between them
     X, y, slices = random_instance(21, n=14, m_max=3, q=9)
     padded = []
@@ -269,22 +272,19 @@ def test_score_all_matches_direct_formula_and_single_points():
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             rho_grid[-1] * stage.s
-    vals = stage.score_all(rho_grid)
+    vals = [stage.score(rho) for rho in rho_grid]
     for rho, val in zip(rho_grid[:-1], vals):
         direct = oracles.direct_criterion(X, y, slices, rho * P)
         assert val == pytest.approx(direct, rel=1e-8)
     assert vals[-1] == float(y @ y)
-    # a grid point scores the same, bit for bit, alone or with the grid
-    for rho, val in zip(rho_grid, vals):
-        assert stage.score_all([rho])[0] == val
-    np.testing.assert_array_equal(stage.score_all(rho_grid[::-1]), vals[::-1])
 
     perm = rng.permutation(len(slices))
     Xp = np.vstack([X[slices[j][0] : slices[j][1]] for j in perm])
     yp = np.concatenate([y[slices[j][0] : slices[j][1]] for j in perm])
     ends = np.cumsum([slices[j][1] - slices[j][0] for j in perm])
     slices_p = [(int(e - (slices[j][1] - slices[j][0])), int(e)) for e, j in zip(ends, perm)]
-    vals_p = dense_selector(Xp, yp, slices_p, [P]).for_weights((1.0,)).score_all(rho_grid)
+    stage_p = dense_selector(Xp, yp, slices_p, [P]).for_weights((1.0,))
+    vals_p = [stage_p.score(rho) for rho in rho_grid]
     np.testing.assert_allclose(vals_p, vals, rtol=1e-12, atol=0)
 
 

@@ -173,3 +173,43 @@ def test_load_rejects_non_finite_arrays(tmp_path, where, key, index, bad):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=f"{key} holds a non-finite value"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["eigen"].update(npc=-1), r"npc must be an integer in \[0, 12\]"),
+        (lambda doc: doc["eigen"].update(npc=1000), r"npc must be an integer in \[0, 12\]"),
+        (lambda doc: doc["eigen"].update(pve=7.0), r"pve must be a number in \(0, 1\]"),
+        (lambda doc: doc["eigen"].update(pve=0.0), r"pve must be a number in \(0, 1\]"),
+        (lambda doc: doc.update(lambdas=[[0, 5, [1.0]]]), "lambdas must hold each pair"),
+        (lambda doc: doc["lambdas"].pop(), "lambdas must hold each pair"),
+        (lambda doc: doc["lambdas"].append(doc["lambdas"][0]), "lambdas must hold each pair"),
+        (lambda doc: doc["lambdas"][1].__setitem__(slice(0, 2), [1, 0]),
+         "lambdas must hold each pair"),
+    ],
+    ids=["npc-negative", "npc-above-pc", "pve-above-1", "pve-zero", "lambdas-out-of-range",
+         "lambdas-missing-pair", "lambdas-repeated-pair", "lambdas-lower-pair"],
+)
+def test_load_rejects_values_no_fit_writes(tmp_path, edit, message):
+    # p = 2 responses and c = 6 basis functions: npc lies in [0, 12]
+    model, eig = example_model()
+    path = tmp_path / "model.json"
+    save_model(path, model, eig)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("npc, pve", [(0, 1.0), (12, 1e-300)])
+def test_load_accepts_the_ends_of_the_npc_and_pve_ranges(tmp_path, npc, pve):
+    model, eig = example_model()
+    path = tmp_path / "model.json"
+    save_model(path, model, eig)
+    doc = json.loads(path.read_text())
+    doc["eigen"].update(npc=npc, pve=pve)
+    path.write_text(json.dumps(doc))
+    _, leig = load_model(path)
+    assert (leig.npc, leig.pve) == (npc, pve)
