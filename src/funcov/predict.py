@@ -30,7 +30,8 @@ directly. ``M_new`` is built only when a band is asked for.
 A pointwise band at ``level`` is ``xhat +/- z sqrt(var)`` with ``z`` the
 standard normal's ``0.5 + level / 2`` quantile from
 ``scipy.special.ndtri`` (1.96 verbatim at level 0.95), the value
-``scipy.stats.norm.ppf`` gives, without importing ``scipy.stats``.
+``scipy.stats.norm.ppf`` gives, without importing ``scipy.stats``;
+``scipy.special`` itself is imported only for a level other than 0.95.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import ndtri
 
 from .dataset import SparseFunctionalDataset
 from .errors import FuncovError
@@ -125,8 +125,11 @@ class BatchPrediction:
 def _normal_quantile(level: float) -> float:
     # 1.96 is used verbatim for the conventional 95% band. scipy.stats's
     # norm.ppf(q) is ndtri(q) * 1.0 + 0.0, so this is bit for bit its value.
+    # scipy.special is imported only here: the default band never loads it.
     if level == 0.95:
         return 1.96
+    from scipy.special import ndtri
+
     return float(ndtri(0.5 + level / 2.0))
 
 

@@ -105,6 +105,10 @@ class SimDesign:
     n_test: int = 200
 
     def __post_init__(self):
+        for name in ("n", "n_test", "m_min", "m_max"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise FuncovError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise FuncovError("need at least one training subject")
         if not 0.0 <= self.rho <= 1.0:
@@ -164,9 +168,14 @@ def noise_variance(d: np.ndarray, snr: float) -> float:
 def generate(design: SimDesign):
     """Simulate a training dataset plus ground truth (with test subjects).
 
-    Draw order is fixed: for each subject (training first, then test)
+    Subjects are made in two passes. The draw pass walks the subjects in
+    order (training first, then test) and only draws: for each subject
     the 9 scores, then per response the observation count, the times and
-    the noise. Identical seeds give bit-identical output.
+    the standard-normal noise. This order is fixed, and identical seeds
+    give bit-identical output. The curve pass then evaluates the truth
+    once per response over that response's pooled times: means, features,
+    every subject's loadings in one stacked product, and the scaled noise
+    added elementwise.
 
     Returns
     -------
@@ -182,24 +191,39 @@ def generate(design: SimDesign):
     noise_sd = np.sqrt(sigma_eps2)
 
     def draw_subjects(count):
+        # The draws stay one subject at a time: normal sampling takes a
+        # variable number of raw words per value, so batching any of them
+        # would reorder the stream and change every dataset.
+        normal, integers, uniform = rng.standard_normal, rng.integers, rng.random
+        lo, hi = int(design.m_min), int(design.m_max) + 1
         scores = np.empty((count, 9))
         times = []
-        values = []
+        noise = [[] for _ in range(P)]
         for i in range(count):
-            xi = rng.standard_normal(9) * sd
-            scores[i] = xi
-            t_row, v_row = [], []
+            scores[i] = normal(9) * sd
+            t_row = []
             for k in range(P):
-                m = int(rng.integers(design.m_min, design.m_max + 1))
-                t = rng.random(m)
-                mean_k = mean_function(k, t)
-                curve = mean_k + feature_triple(k, t).T @ (V[3 * k : 3 * k + 3] @ xi)
-                v = curve + noise_sd * rng.standard_normal(m)
-                t_row.append(t)
-                v_row.append(v)
+                m = int(integers(lo, hi))
+                t_row.append(uniform(m))
+                noise[k].append(normal(m))
             times.append(t_row)
-            values.append(v_row)
-        return scores, times, values
+
+        values = []
+        for k in range(P):
+            t = np.concatenate([row[k] for row in times])
+            ends = np.cumsum([row[k].size for row in times]).tolist()
+            starts = [0, *ends[:-1]]
+            F = feature_triple(k, t)
+            loadings = np.matmul(V[3 * k : 3 * k + 3][None], scores[:, :, None])[:, :, 0]
+            # F_i' l_i stays one product per subject, on a view of the
+            # pooled features: a pooled weighted sum of the feature rows or
+            # a padded stacked product rounds differently in the last bits.
+            signal = np.empty(t.size)
+            for a, b, ell in zip(starts, ends, loadings):
+                signal[a:b] = F[:, a:b].T @ ell
+            v = mean_function(k, t) + signal + noise_sd * np.concatenate(noise[k])
+            values.append([v[a:b] for a, b in zip(starts, ends)])
+        return scores, times, list(zip(*values))
 
     train_scores, train_t, train_v = draw_subjects(design.n)
     labels = [f"s{i:04d}" for i in range(design.n)]

@@ -366,3 +366,55 @@ def fine_grid_truth(rho, grid_size=501):
     flat = (vecs[:, :nz] / root[:, None]).T
     flat *= np.sign(flat[np.arange(nz), np.abs(flat).argmax(axis=1)])[:, None]
     return vals, flat.reshape(nz, 3, grid_size), grid
+
+
+def generate_per_subject(design):
+    """Simulated data drawn and evaluated one subject at a time.
+
+    For each subject (training first, then test) the 9 scores, then per
+    response the count, the times and the noise, with the truth evaluated
+    on that one subject's times. ``funcov.generate`` draws in the same
+    order but evaluates each response over the pooled times, and must
+    match this bit for bit. The truth functions themselves are the
+    package's (``true_kernel`` above checks them); what this pins is the
+    pooled evaluation. Returns ``(train_scores, train_times,
+    train_values, test_scores, test_times, test_values)``, the lists
+    nested per subject and response.
+    """
+    from funcov._linalg import eigh_desc
+    from funcov.simulate import (
+        P,
+        coupling_matrix,
+        feature_triple,
+        mean_function,
+        noise_variance,
+    )
+
+    seed = design.seed
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    d, V = eigh_desc(coupling_matrix(design.rho))
+    sd = np.sqrt(np.clip(d, 0.0, None))
+    noise_sd = np.sqrt(noise_variance(d, design.snr))
+
+    def draw_subjects(count):
+        scores = np.empty((count, 9))
+        times, values = [], []
+        for i in range(count):
+            xi = rng.standard_normal(9) * sd
+            scores[i] = xi
+            t_row, v_row = [], []
+            for k in range(P):
+                m = int(rng.integers(design.m_min, design.m_max + 1))
+                t = rng.random(m)
+                curve = mean_function(k, t) + feature_triple(k, t).T @ (
+                    V[3 * k : 3 * k + 3] @ xi
+                )
+                t_row.append(t)
+                v_row.append(curve + noise_sd * rng.standard_normal(m))
+            times.append(t_row)
+            values.append(v_row)
+        return scores, times, values
+
+    return (*draw_subjects(design.n), *draw_subjects(design.n_test))

@@ -122,9 +122,9 @@ def test_normal_quantile_equals_norm_ppf_bit_for_bit():
             assert _normal_quantile(level) == float(norm.ppf(0.5 + level / 2)), level
 
 
-def _loaded_after_banded_prediction(packages):
+def _loaded_after_banded_prediction(packages, level=0.8):
     """The modules of ``packages`` loaded in a fresh interpreter that
-    imports funcov, fits and predicts with a band."""
+    imports funcov, fits and predicts with a band at ``level``."""
     script = f"""
 import sys
 import numpy as np
@@ -135,7 +135,7 @@ res = funcov.fit_covariance_model(
 )
 out = funcov.predict_subject(
     res.model, res.eig, [np.array([0.3]), np.array([0.6]), np.array([0.2, 0.7])],
-    [np.array([0.5]), np.array([-0.2]), np.array([0.1, 0.9])], np.linspace(0, 1, 5), level=0.8,
+    [np.array([0.5]), np.array([-0.2]), np.array([0.1, 0.9])], np.linspace(0, 1, 5), level={level!r},
 )
 assert np.all(out.upper > out.lower)
 print(sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in {sorted(packages)!r}))
@@ -152,6 +152,12 @@ print(sorted(m for m in sys.modules if ".".join(m.split(".")[:2]) in {sorted(pac
 
 def test_banded_prediction_leaves_scipy_stats_unloaded():
     assert _loaded_after_banded_prediction(["scipy.stats"]) == "[]"
+
+
+def test_default_band_leaves_scipy_special_unloaded():
+    # the quantile import waits for a level other than 0.95
+    assert _loaded_after_banded_prediction(["scipy.special"], level=0.95) == "[]"
+    assert _loaded_after_banded_prediction(["scipy.special"]) != "[]"
 
 
 def test_fit_and_prediction_leave_scipy_interpolate_and_optimize_unloaded():

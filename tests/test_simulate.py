@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import funcov
-from funcov import FuncovError, SimDesign, generate
+from funcov import FuncovError, SimDesign, SparseFunctionalDataset, generate
 from funcov.fpca import eigendecompose, eval_covariance, eval_eigenfunction
 from funcov.simulate import (
     LAMBDA,
@@ -205,6 +205,43 @@ def test_generate_frozen_first_subject():
         [-5.169036655098975, 0.1392875713611912, -4.643495080200577, -0.7478769916305937],
     )
     assert truth.train_scores[0, 0] == -0.50607504657322
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(n=40, seed=0),
+        dict(n=40, seed=7, rho=0.9),
+        dict(n=40, seed=2**40 + 3, snr=0.5),
+        dict(n=40, seed=np.random.SeedSequence([5, 11])),
+        dict(n=1, seed=4),
+        dict(n=25, seed=6, n_test=0),
+        dict(n=25, seed=8, m_min=1, m_max=1),
+        dict(n=25, seed=9, m_max=15),
+        dict(n=25, seed=10, rho=0.0),
+        dict(n=25, seed=12, rho=1.0),
+    ],
+)
+def test_generate_equals_per_subject_oracle_bit_for_bit(fields):
+    design = SimDesign(**{"n_test": 6, **fields})
+    train, truth = generate(design)
+    scores, times, values, test_scores, test_times, test_values = (
+        oracles.generate_per_subject(design)
+    )
+    np.testing.assert_array_equal(truth.train_scores, scores)
+    np.testing.assert_array_equal(truth.test_scores, test_scores)
+    pairs = [(train, "s", times, values)]
+    if design.n_test:
+        pairs.append((truth.test_data, "t", test_times, test_values))
+    else:
+        assert truth.test_data is None
+    for data, prefix, t_ref, v_ref in pairs:
+        assert data.subjects == [f"{prefix}{i:04d}" for i in range(len(t_ref))]
+        assert data.responses == ["y1", "y2", "y3"]
+        ref = SparseFunctionalDataset(data.subjects, data.responses, t_ref, v_ref)
+        for k in range(3):
+            for ours, theirs in zip(data.pooled(k), ref.pooled(k)):
+                np.testing.assert_array_equal(ours, theirs)
 
 
 def test_observation_counts_within_range():
@@ -422,3 +459,17 @@ def test_design_validation():
         SimDesign(n=5, m_min=5, m_max=4)
     with pytest.raises(FuncovError):
         SimDesign(n=5, n_test=-1)
+    # counts must be integers, named in the message; bool is not a count
+    for fields, name in (
+        (dict(n=2.5), "n"),
+        (dict(n=True), "n"),
+        (dict(n=5, n_test=1.5), "n_test"),
+        (dict(n=5, m_min=3.0), "m_min"),
+        (dict(n=5, m_max=np.float64(7)), "m_max"),
+    ):
+        with pytest.raises(FuncovError, match=f"^{name} must be an integer"):
+            SimDesign(**fields)
+    # numpy integers stay valid
+    design = SimDesign(n=np.int64(2), n_test=np.int32(1), m_min=np.int64(1), m_max=np.uint8(2))
+    train, _ = generate(design)
+    assert train.n_subjects == 2
